@@ -43,12 +43,10 @@ from .scenario import (
     parse_scenario,
 )
 from .schedulers import (
-    CandidateGrid,
     InstanceTooLargeError,
     ScheduleResult,
     SchedulerConfig,
     candidate_grid,
-    compare_cost,
     exhaustive_schedule,
     random_schedule,
     tsgs_schedule,
@@ -56,7 +54,6 @@ from .schedulers import (
 from .simulator import (
     ChannelConfig,
     ConnectionStats,
-    SenderState,
     SimReport,
     collision_summary,
     pdr,
@@ -66,7 +63,6 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateGrid",
     "ChannelConfig",
     "ComparisonSummary",
     "ConnectionStats",
@@ -80,7 +76,6 @@ __all__ = [
     "ScheduleResult",
     "SchedulerConfig",
     "SchedulerSummary",
-    "SenderState",
     "SimReport",
     "SweepRow",
     "SweepTable",
@@ -90,7 +85,6 @@ __all__ = [
     "WindowSweep",
     "candidate_grid",
     "collision_summary",
-    "compare_cost",
     "compute_duration",
     "emit",
     "exhaustive_schedule",

@@ -79,27 +79,14 @@ class Schedule:
         return len(self.starts)
 
 
-def _duration(request: TransmissionRequest) -> TimeSpan:
-    return request.packet_count * (request.packet_airtime + request.per_packet_overhead)
-
-
 def compute_duration(request: TransmissionRequest) -> TimeSpan:
     """Nominal duration of the packet train: count * (airtime + overhead).
 
     This is the scheduler's planning value; the simulator's realized
-    duration can exceed it once contention activates backoff.
-
-    Raises:
-        InadmissibleRequestError: the train cannot fit before the deadline
-            even when started at time 0.
+    duration can exceed it once contention activates backoff. It checks
+    nothing: `window` is the admissibility check.
     """
-    d = _duration(request)
-    if d > request.deadline:
-        raise InadmissibleRequestError(
-            f"connection {request.id}: duration {d}us exceeds deadline "
-            f"{request.deadline}us"
-        )
-    return d
+    return request.packet_count * (request.packet_airtime + request.per_packet_overhead)
 
 
 def window(request: TransmissionRequest, margin: TimeSpan = 0) -> TimeSpan:
@@ -107,8 +94,12 @@ def window(request: TransmissionRequest, margin: TimeSpan = 0) -> TimeSpan:
 
     Candidate start times lie in [0, window]. ``margin`` is the safety
     slack reserved for backoff-induced delay; 0 by default.
+
+    Raises:
+        InadmissibleRequestError: the train plus the margin cannot fit
+            before the deadline even when started at time 0.
     """
-    d = _duration(request)
+    d = compute_duration(request)
     if d + margin > request.deadline:
         raise InadmissibleRequestError(
             f"connection {request.id}: duration {d}us + margin {margin}us "
@@ -129,7 +120,7 @@ def intervals(schedule: Schedule, requests: list[TransmissionRequest] | tuple) -
             f"schedule has {len(schedule.starts)} starts for {len(requests)} requests"
         )
     return tuple(
-        Interval(start, _duration(req))
+        Interval(start, compute_duration(req))
         for start, req in zip(schedule.starts, requests)
     )
 
@@ -161,6 +152,6 @@ def feasible(
             f"schedule has {len(schedule.starts)} starts for {len(requests)} requests"
         )
     for start, req in zip(schedule.starts, requests):
-        if start < 0 or start + _duration(req) + margin > req.deadline:
+        if start < 0 or start + compute_duration(req) + margin > req.deadline:
             return False
     return True

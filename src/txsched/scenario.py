@@ -17,7 +17,8 @@ Directives::
     sweep start <T>us stop <T>us step <T>us
     seeds <N> [<N> ...]                     # repeatable, appends
 
-``connection`` lines may omit ``airtime``; the channel's airtime is used.
+``connection`` lines may omit ``airtime``; the channel line's airtime is
+used, or ``DEFAULT_AIRTIME`` without one.
 ``channel`` and ``sweep`` are optional; everything else is required.
 Errors carry ``path:line:`` prefixes pointing at the offending directive.
 """
@@ -34,6 +35,8 @@ from .simulator import ChannelConfig
 FORMAT_TAG = "txsched/1"
 
 SCHEDULER_NAMES = ("exhaustive", "random", "tsgs")
+
+DEFAULT_AIRTIME = 23
 
 
 class ScenarioError(ValueError):
@@ -115,6 +118,7 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
     config: SchedulerConfig | None = None
     scheduler_names: list[str] = []
     channel: ChannelConfig | None = None
+    default_airtime = DEFAULT_AIRTIME
     sweep: WindowSweep | None = None
     seeds: list[int] = []
     seen_ids: set[int] = set()
@@ -198,22 +202,26 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
                 _fail(source, lineno, "duplicate channel directive")
             fields = {}
             for key, value in _pairs(source, lineno, "channel", args):
-                if key in ("slot_time", "aifs", "airtime"):
+                if key in ("slot_time", "aifs"):
                     fields[key] = _parse_us(source, lineno, key, value)
+                elif key == "airtime":
+                    default_airtime = _parse_us(source, lineno, key, value)
+                    if default_airtime <= 0:
+                        _fail(
+                            source, lineno,
+                            f"invalid channel: airtime must be > 0, "
+                            f"got {default_airtime}",
+                        )
                 elif key == "cw":
                     fields[key] = _parse_int(source, lineno, key, value)
                 elif key == "ambient_loss":
-                    fields[key] = _parse_float(source, lineno, key, value)
+                    fields["ambient_loss_rate"] = _parse_float(
+                        source, lineno, key, value
+                    )
                 else:
                     _fail(source, lineno, f"unknown channel field {key!r}")
             try:
-                channel = ChannelConfig(
-                    slot_time=fields.get("slot_time", 13),
-                    aifs=fields.get("aifs", 58),
-                    cw=fields.get("cw", 15),
-                    packet_airtime=fields.get("airtime", 23),
-                    ambient_loss_rate=fields.get("ambient_loss", 0.0),
-                )
+                channel = ChannelConfig(**fields)
             except ValueError as exc:
                 _fail(source, lineno, f"invalid channel: {exc}")
         elif directive == "sweep":
@@ -263,7 +271,7 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
                 id=conn_id,
                 deadline=fields["deadline"],
                 packet_count=fields["packets"],
-                packet_airtime=fields.get("airtime", channel.packet_airtime),
+                packet_airtime=fields.get("airtime", default_airtime),
                 per_packet_overhead=fields.get("overhead", 0),
             )
             window(request, config.margin)  # admissibility under this margin

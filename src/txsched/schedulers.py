@@ -71,26 +71,6 @@ class SchedulerConfig:
 
 
 @dataclass(frozen=True)
-class CandidateGrid:
-    """Admissible start times for one connection: k * step, k in 0..max_index."""
-
-    connection_id: int
-    step: TimeSpan
-    max_index: int
-
-    def __len__(self) -> int:
-        return self.max_index + 1
-
-    def start_time(self, k: int) -> TimePoint:
-        if not 0 <= k <= self.max_index:
-            raise IndexError(f"candidate index {k} outside 0..{self.max_index}")
-        return k * self.step
-
-    def starts(self) -> tuple[TimePoint, ...]:
-        return tuple(k * self.step for k in range(self.max_index + 1))
-
-
-@dataclass(frozen=True)
 class ScheduleResult:
     """A schedule plus its total overlap cost and the work done to find it.
 
@@ -105,14 +85,10 @@ class ScheduleResult:
     candidate_evaluations: int
 
 
-def candidate_grid(
-    request: TransmissionRequest, config: SchedulerConfig
-) -> CandidateGrid:
-    """Grid of admissible starts; raises if even start 0 misses the deadline."""
-    w = window(request, config.margin)
-    return CandidateGrid(
-        connection_id=request.id, step=config.step, max_index=w // config.step
-    )
+def candidate_grid(request: TransmissionRequest, config: SchedulerConfig) -> range:
+    """Admissible starts 0, step, ..., up to the window; raises if even
+    start 0 misses the deadline."""
+    return range(0, window(request, config.margin) + 1, config.step)
 
 
 def _processing_order(
@@ -140,22 +116,20 @@ def tsgs_schedule(
     evaluations = 0
     for idx in _processing_order(requests, config):
         req = requests[idx]
-        grid = candidate_grid(req, config)
         duration = compute_duration(req)
-        best_k = 0
+        best_start = 0
         best_score = None
-        for k in range(grid.max_index + 1):
-            candidate = Interval(grid.start_time(k), duration)
+        for start in candidate_grid(req, config):
+            candidate = Interval(start, duration)
             score = 0
             for placed in fixed:
                 score += overlap(candidate, placed)
                 evaluations += 1
             if best_score is None or score < best_score:
                 best_score = score
-                best_k = k
-        start = grid.start_time(best_k)
-        starts[idx] = start
-        fixed.append(Interval(start, duration))
+                best_start = start
+        starts[idx] = best_start
+        fixed.append(Interval(best_start, duration))
     schedule = Schedule(tuple(starts))  # type: ignore[arg-type]
     return ScheduleResult(
         schedule=schedule,
@@ -192,7 +166,7 @@ def exhaustive_schedule(
     best_schedule = None
     best_cost = None
     evaluations = 0
-    for assignment in itertools.product(*(grid.starts() for grid in grids)):
+    for assignment in itertools.product(*grids):
         schedule = Schedule(assignment)
         cost = total_cost(schedule, requests)
         evaluations += 1
@@ -218,29 +192,10 @@ def random_schedule(
     starts = []
     for req in requests:
         grid = candidate_grid(req, config)
-        starts.append(grid.start_time(rng.randrange(len(grid))))
+        starts.append(grid[rng.randrange(len(grid))])
     schedule = Schedule(tuple(starts))
     return ScheduleResult(
         schedule=schedule,
         cost=total_cost(schedule, requests),
         candidate_evaluations=0,
     )
-
-
-def compare_cost(a: ScheduleResult, b: ScheduleResult) -> int:
-    """-1, 0, or 1 as a's cost is less than, equal to, or greater than b's.
-
-    Both results must come from the same instance; differing connection
-    counts are rejected as a cheap guard against comparing apples to
-    oranges.
-    """
-    if len(a.schedule) != len(b.schedule):
-        raise ValueError(
-            f"results cover {len(a.schedule)} and {len(b.schedule)} "
-            "connections; costs are not comparable"
-        )
-    if a.cost < b.cost:
-        return -1
-    if a.cost > b.cost:
-        return 1
-    return 0

@@ -28,13 +28,17 @@ and those before same-instant transmission starts. Senders whose access
 decisions land on the same instant therefore transmit together and
 collide, with no hidden jitter. Identical (requests, schedule, channel
 config, seed) reproduce byte-identical reports.
+
+A sender's identity is its position in the request list. Connection ids
+are labels only: they break same-instant ties and name senders in traces
+and stats, so two requests may share one.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Schedule, TimePoint, TimeSpan, TransmissionRequest
 
@@ -43,6 +47,10 @@ from .core import Schedule, TimePoint, TimeSpan, TransmissionRequest
 _PRIO_TX_END = 0
 _PRIO_DECISION = 1
 _PRIO_TX_START = 2
+
+# Event kinds, indexing the handler table in `_Sim.run`. Timers come last:
+# an event is a timer iff its kind >= _AIFS_END.
+_TX_END, _SENSE, _TX_START, _AIFS_END, _BK_AIFS_END, _SLOT_END = range(6)
 
 PHASES = (
     "idle-until-start",
@@ -61,18 +69,15 @@ PHASES = (
 class ChannelConfig:
     """MAC and channel parameters shared by all senders.
 
-    ``packet_airtime`` is the default on-air duration a scenario applies
-    to connections that do not specify their own; the simulation itself
-    always uses each request's airtime. ``ambient_loss_rate`` is an
-    independent per-packet loss probability applied to packets that did
-    not collide, standing in for every non-collision loss source (fading,
-    noise, distance).
+    Each sender's on-air duration is its request's airtime.
+    ``ambient_loss_rate`` is an independent per-packet loss probability
+    applied to packets that did not collide, standing in for every
+    non-collision loss source (fading, noise, distance).
     """
 
     slot_time: TimeSpan = 13
     aifs: TimeSpan = 58
     cw: int = 15
-    packet_airtime: TimeSpan = 23
     ambient_loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
@@ -82,8 +87,6 @@ class ChannelConfig:
             raise ValueError(f"aifs must be >= 0, got {self.aifs}")
         if self.cw < 1:
             raise ValueError(f"cw must be >= 1, got {self.cw}")
-        if self.packet_airtime <= 0:
-            raise ValueError(f"packet_airtime must be > 0, got {self.packet_airtime}")
         if not 0.0 <= self.ambient_loss_rate <= 1.0:
             raise ValueError(
                 f"ambient_loss_rate must be in [0, 1], got {self.ambient_loss_rate}"
@@ -103,6 +106,7 @@ class SenderState:
     is ignored.
     """
 
+    position: int
     connection_id: int
     scheduled_start: TimePoint
     airtime: TimeSpan
@@ -115,8 +119,6 @@ class SenderState:
     packet_index: int = 0
     current_tx_start: TimePoint = 0
     current_collided: bool = False
-    packet_starts: list[TimePoint] = field(default_factory=list)
-    packet_ends: list[TimePoint] = field(default_factory=list)
     # outcome counters
     sent: int = 0
     received: int = 0
@@ -133,7 +135,7 @@ class ConnectionStats:
 
     Conservation holds exactly: sent = received + collided + ambient_lost.
     ``delivered_late`` is the subset of received packets that finished
-    after the deadline (0 unless deadline accounting was enabled).
+    after the deadline.
     ``realized_duration_us`` spans from the scheduled start, when the
     sender first contends, to its last packet's end; under zero contention
     it equals packet_count * (aifs + airtime). ``delay_total_us`` sums,
@@ -210,7 +212,6 @@ class _Sim:
         schedule: Schedule,
         channel: ChannelConfig,
         seed: int,
-        deadline_accounting: bool,
         trace: list[str] | None,
     ) -> None:
         if len(schedule.starts) != len(requests):
@@ -223,17 +224,17 @@ class _Sim:
                 raise ValueError(f"scheduled start must be >= 0, got {start}")
         self.channel = channel
         self.rng = random.Random(seed)
-        self.deadline_accounting = deadline_accounting
         self.trace = trace
         self.senders = [
             SenderState(
+                position=position,
                 connection_id=req.id,
                 scheduled_start=start,
                 airtime=req.packet_airtime,
                 deadline=req.deadline,
                 packets_remaining=req.packet_count,
             )
-            for req, start in zip(requests, schedule.starts)
+            for position, (req, start) in enumerate(zip(requests, schedule.starts))
         ]
         self.active: dict[int, SenderState] = {}
         self.heap: list[tuple] = []
@@ -242,14 +243,15 @@ class _Sim:
 
     # -- event plumbing ------------------------------------------------
 
-    def _push(self, time: TimePoint, prio: int, sender: SenderState, kind: str,
+    def _push(self, time: TimePoint, prio: int, sender: SenderState, kind: int,
               token: int = -1) -> None:
         self.seq += 1
         heapq.heappush(
-            self.heap, (time, prio, sender.connection_id, self.seq, kind, token)
+            self.heap,
+            (time, prio, sender.connection_id, self.seq, sender, kind, token),
         )
 
-    def _schedule_timer(self, sender: SenderState, kind: str, time: TimePoint) -> None:
+    def _schedule_timer(self, sender: SenderState, kind: int, time: TimePoint) -> None:
         # a sender holds at most one live timer; scheduling replaces it
         sender.timer_token += 1
         self._push(time, _PRIO_DECISION, sender, kind, sender.timer_token)
@@ -275,7 +277,7 @@ class _Sim:
     def _commit(self, sender: SenderState, now: TimePoint) -> None:
         """The access decision is made; the transmission starts this instant."""
         self._set_phase(sender, "tx-pending", now)
-        self._push(now, _PRIO_TX_START, sender, "tx-start")
+        self._push(now, _PRIO_TX_START, sender, _TX_START)
 
     def _defer(self, sender: SenderState, now: TimePoint) -> None:
         """First contention for this packet: draw the backoff and wait."""
@@ -289,24 +291,21 @@ class _Sim:
             self._defer(sender, now)
         else:
             self._set_phase(sender, "aifs-wait", now)
-            self._schedule_timer(sender, "aifs-end", now + self.channel.aifs)
-
-    def _on_aifs_end(self, sender: SenderState, now: TimePoint) -> None:
-        self._commit(sender, now)
+            self._schedule_timer(sender, _AIFS_END, now + self.channel.aifs)
 
     def _on_backoff_aifs_end(self, sender: SenderState, now: TimePoint) -> None:
         if sender.backoff_slots_remaining == 0:
             self._commit(sender, now)
         else:
             self._set_phase(sender, "backoff-countdown", now)
-            self._schedule_timer(sender, "slot-end", now + self.channel.slot_time)
+            self._schedule_timer(sender, _SLOT_END, now + self.channel.slot_time)
 
     def _on_slot_end(self, sender: SenderState, now: TimePoint) -> None:
         sender.backoff_slots_remaining -= 1
         if sender.backoff_slots_remaining == 0:
             self._commit(sender, now)
         else:
-            self._schedule_timer(sender, "slot-end", now + self.channel.slot_time)
+            self._schedule_timer(sender, _SLOT_END, now + self.channel.slot_time)
 
     # -- channel occupancy ---------------------------------------------
 
@@ -319,10 +318,9 @@ class _Sim:
             for other in self.active.values():
                 other.current_collided = True
             sender.current_collided = True
-        self.active[sender.connection_id] = sender
+        self.active[sender.position] = sender
         self._set_phase(sender, "transmitting", now)
-        sender.packet_starts.append(now)
-        self._push(now + sender.airtime, _PRIO_TX_END, sender, "tx-end")
+        self._push(now + sender.airtime, _PRIO_TX_END, sender, _TX_END)
         if was_idle:
             # the idle->busy edge interrupts everyone mid-decision
             for other in self.senders:
@@ -348,56 +346,49 @@ class _Sim:
             self._note_outcome(sender, now, "ambient-lost")
         else:
             sender.received += 1
-            if self.deadline_accounting and now > sender.deadline:
+            if now > sender.deadline:
                 sender.delivered_late += 1
             self._note_outcome(sender, now, "received")
         cycle = self.channel.aifs + sender.airtime
         nominal_end = sender.scheduled_start + (sender.packet_index + 1) * cycle
         sender.delay_total_us += now - nominal_end
-        sender.packet_ends.append(now)
         sender.last_tx_end = now
         sender.packet_index += 1
         sender.packets_remaining -= 1
-        del self.active[sender.connection_id]
+        del self.active[sender.position]
         if not self.active:
             # idle edge: every frozen sender restarts its AIFS now
             for other in self.senders:
                 if other.phase == "backoff-wait-idle":
                     self._set_phase(other, "backoff-aifs", now)
                     self._schedule_timer(
-                        other, "bk-aifs-end", now + self.channel.aifs
+                        other, _BK_AIFS_END, now + self.channel.aifs
                     )
         if sender.packets_remaining > 0:
-            self._push(now, _PRIO_DECISION, sender, "sense")
+            self._push(now, _PRIO_DECISION, sender, _SENSE)
         else:
             self._set_phase(sender, "done", now)
 
     # -- main loop -----------------------------------------------------
 
     def run(self) -> SimReport:
-        by_id = {s.connection_id: s for s in self.senders}
         for sender in self.senders:
             self._push(
-                sender.scheduled_start, _PRIO_DECISION, sender, "sense"
+                sender.scheduled_start, _PRIO_DECISION, sender, _SENSE
             )
-        timers = ("aifs-end", "bk-aifs-end", "slot-end")
+        handlers = (
+            self._on_tx_end,
+            self._on_sense,
+            self._on_tx_start,
+            self._commit,
+            self._on_backoff_aifs_end,
+            self._on_slot_end,
+        )
         while self.heap:
-            time, _prio, conn_id, _seq, kind, token = heapq.heappop(self.heap)
-            sender = by_id[conn_id]
-            if kind in timers and token != sender.timer_token:
+            time, _prio, _id, _seq, sender, kind, token = heapq.heappop(self.heap)
+            if kind >= _AIFS_END and token != sender.timer_token:
                 continue  # cancelled
-            if kind == "tx-end":
-                self._on_tx_end(sender, time)
-            elif kind == "sense":
-                self._on_sense(sender, time)
-            elif kind == "aifs-end":
-                self._on_aifs_end(sender, time)
-            elif kind == "bk-aifs-end":
-                self._on_backoff_aifs_end(sender, time)
-            elif kind == "slot-end":
-                self._on_slot_end(sender, time)
-            else:
-                self._on_tx_start(sender, time)
+            handlers[kind](sender, time)
         stats = tuple(
             ConnectionStats(
                 connection_id=s.connection_id,
@@ -421,7 +412,6 @@ def simulate(
     schedule: Schedule,
     channel: ChannelConfig,
     seed: int,
-    deadline_accounting: bool = False,
     trace: list[str] | None = None,
 ) -> SimReport:
     """Run every sender's packet train to completion and report outcomes.
@@ -430,7 +420,8 @@ def simulate(
     ``schedule.starts[i]`` and transmits ``requests[i].packet_count``
     packets of ``requests[i].packet_airtime`` each under the module's
     CSMA/CA discipline. The run always completes all trains; deadline
-    overruns are reported (via ``deadline_accounting``), never prevented.
+    overruns are counted in each connection's ``delivered_late``, never
+    prevented.
 
     ``trace``, when given a list, receives one human-readable line per
     phase transition (``TIME cID OLD->NEW``) and per packet outcome
@@ -440,4 +431,4 @@ def simulate(
         ValueError: schedule and request counts differ, or a start is
             negative.
     """
-    return _Sim(requests, schedule, channel, seed, deadline_accounting, trace).run()
+    return _Sim(requests, schedule, channel, seed, trace).run()

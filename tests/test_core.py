@@ -37,8 +37,10 @@ class TestComputeDuration:
         assert compute_duration(req(10_000_000, packets=50, overhead=10)) == 1650
 
     def test_inadmissible_raises(self):
+        # the duration is the bare formula; window is the admissibility check
+        assert compute_duration(req(22)) == 23
         with pytest.raises(InadmissibleRequestError):
-            compute_duration(req(22))
+            window(req(22))
 
     def test_boundary_deadline_is_admissible(self):
         assert compute_duration(req(23)) == 23

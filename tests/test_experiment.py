@@ -2,8 +2,10 @@ import pytest
 
 from txsched import (
     MissingSchedulerError,
+    SchedulerConfig,
     SweepRow,
     SweepTable,
+    TransmissionRequest,
     emit,
     format_summary,
     parse_scenario,
@@ -43,6 +45,17 @@ def synthetic_row(scheduler, seed, pdr):
         received=(50, 50),
         mean_delay_us=0.0,
     )
+
+
+class TestRescale:
+    def test_native_deadline_below_duration(self):
+        # the native deadline need not admit the train; rescaling does
+        request = TransmissionRequest(
+            0, deadline=100, packet_count=5, packet_airtime=23,
+            per_packet_overhead=58,
+        )
+        (rescaled,) = rescale_requests((request,), 1000, SchedulerConfig(step=10))
+        assert rescaled.deadline == 1000 + 405 + 0
 
 
 class TestRunExperiment:

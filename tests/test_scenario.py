@@ -183,6 +183,9 @@ class TestErrors:
 
     def test_invalid_channel_value(self):
         self.expect("format txsched/1\nchannel cw 0\n", "invalid channel", line=2)
+        self.expect(
+            "format txsched/1\nchannel airtime 0us\n", "invalid channel", line=2
+        )
 
     def test_invalid_sweep(self):
         self.expect(

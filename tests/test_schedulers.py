@@ -4,13 +4,11 @@ import random
 import pytest
 
 from txsched import (
-    CandidateGrid,
     InstanceTooLargeError,
     Schedule,
     SchedulerConfig,
     TransmissionRequest,
     candidate_grid,
-    compare_cost,
     compute_duration,
     exhaustive_schedule,
     feasible,
@@ -50,7 +48,7 @@ def random_instance(rng, max_n=3, max_sigma=7):
 
 
 def grid_starts(request, config):
-    # independent of CandidateGrid: rebuild the grid from the definition
+    # independent of candidate_grid: rebuild the grid from the definition
     w = request.deadline - compute_duration(request) - config.margin
     return [k * config.step for k in range(w // config.step + 1)]
 
@@ -66,13 +64,14 @@ def enumerate_costs(requests, config):
 class TestCandidateGrid:
     def test_inclusive_endpoints(self):
         grid = candidate_grid(req(200, 50), SchedulerConfig(step=50))
-        assert grid.starts() == (0, 50, 100, 150)
+        assert grid == range(0, 151, 50)
+        assert tuple(grid) == (0, 50, 100, 150)
         assert len(grid) == 4
 
     def test_floor_on_non_divisible_window(self):
         # window 149 with step 50 keeps only multiples up to 100
         grid = candidate_grid(req(199, 50), SchedulerConfig(step=50))
-        assert grid.starts() == (0, 50, 100)
+        assert tuple(grid) == (0, 50, 100)
 
     def test_every_candidate_is_admissible(self):
         rng = random.Random(31)
@@ -80,13 +79,14 @@ class TestCandidateGrid:
             requests, config = random_instance(rng)
             for r in requests:
                 grid = candidate_grid(r, config)
-                for c in grid.starts():
+                for c in grid:
                     assert c + compute_duration(r) + config.margin <= r.deadline
 
     def test_out_of_range_index(self):
-        grid = CandidateGrid(connection_id=0, step=10, max_index=3)
+        grid = candidate_grid(req(80, 50), SchedulerConfig(step=10))
+        assert grid[3] == 30
         with pytest.raises(IndexError):
-            grid.start_time(4)
+            grid[4]
 
 
 class TestTsgs:
@@ -297,15 +297,14 @@ class TestCompareCost:
     def test_equal(self):
         a = exhaustive_schedule(pair_200_50(), SchedulerConfig(step=50))
         b = tsgs_schedule(pair_200_50(), SchedulerConfig(step=50))
-        assert compare_cost(a, b) == 0
+        assert a.cost == b.cost
 
     def test_oracle_smaller(self):
         rs = [req(13, 7, id=0), req(3, 3, id=1)]
         config = SchedulerConfig(step=3)
         oracle = exhaustive_schedule(rs, config)
         greedy = tsgs_schedule(rs, config)
-        assert compare_cost(oracle, greedy) == -1
-        assert compare_cost(greedy, oracle) == 1
+        assert oracle.cost < greedy.cost
 
     def test_greedy_never_beats_oracle(self):
         rng = random.Random(808)
@@ -313,13 +312,7 @@ class TestCompareCost:
             requests, config = random_instance(rng)
             oracle = exhaustive_schedule(requests, config)
             greedy = tsgs_schedule(requests, config)
-            assert compare_cost(greedy, oracle) >= 0
-
-    def test_mismatched_instances_rejected(self):
-        a = tsgs_schedule([req(100, 10)], SchedulerConfig(step=10))
-        b = tsgs_schedule(pair_200_50(), SchedulerConfig(step=50))
-        with pytest.raises(ValueError):
-            compare_cost(a, b)
+            assert greedy.cost >= oracle.cost
 
 
 class TestConfigValidation:

@@ -237,18 +237,28 @@ class TestAmbientLoss:
         assert collision_summary(report) == [33, 33]
 
 
-class TestDeadlineAccounting:
-    def test_disabled_by_default(self):
-        reqs = [req(deadline=100, packets=2)]
-        report = simulate(reqs, Schedule((0,)), ChannelConfig(), seed=1)
-        assert report.per_connection[0].delivered_late == 0
+class TestConnectionIdentity:
+    def test_duplicate_ids_conserve_packets(self):
+        # ids are labels: two trains that share one still each send theirs
+        reqs = [req(id=0, packets=5), req(id=0, packets=5)]
+        report = simulate(reqs, Schedule((0, 5000)), ChannelConfig(), seed=1)
+        for c in report.per_connection:
+            assert c.sent == 5 == c.received + c.collided + c.ambient_lost
 
-    def test_late_packets_counted_when_enabled(self):
+
+class TestDeadlineAccounting:
+    def test_on_time_packets_not_counted(self):
+        # packets end at 81 and 162; ending exactly at the deadline is on time
+        reqs = [req(deadline=162, packets=2)]
+        report = simulate(reqs, Schedule((0,)), ChannelConfig(), seed=1)
+        c = report.per_connection[0]
+        assert c.received == 2
+        assert c.delivered_late == 0
+
+    def test_late_packets_counted(self):
         # packets end at 81 and 162; only the second misses deadline 100
         reqs = [req(deadline=100, packets=2)]
-        report = simulate(
-            reqs, Schedule((0,)), ChannelConfig(), seed=1, deadline_accounting=True
-        )
+        report = simulate(reqs, Schedule((0,)), ChannelConfig(), seed=1)
         c = report.per_connection[0]
         assert c.received == 2
         assert c.delivered_late == 1
@@ -324,5 +334,3 @@ class TestValidation:
             ChannelConfig(cw=0)
         with pytest.raises(ValueError):
             ChannelConfig(ambient_loss_rate=1.5)
-        with pytest.raises(ValueError):
-            ChannelConfig(packet_airtime=0)
