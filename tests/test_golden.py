@@ -1,4 +1,5 @@
-"""Golden output digests: the byte contract of the bundled table2 scenario.
+"""Golden output digests: the byte contract of the bundled table2 scenario
+and of small inline scenarios that reach paths table2 does not.
 
 Refactors and speed-ups must leave these bytes unchanged. A change that
 alters them on purpose states the new output and why, and re-pins here.
@@ -28,9 +29,60 @@ GOLDEN = {
 }
 
 
+_CHANNEL = "channel slot_time 13us aifs 58us cw 15 ambient_loss 0.01\n"
+
+# name -> (scenario text, sha256 of its `run --format csv` output)
+INLINE = {
+    # native windows of five sizes, two equal deadlines (stable order),
+    # greedy in deadline-ascending order with a nonzero final cost
+    "mixed-deadline-ascending": (
+        "format txsched/1\n"
+        "connection 0 deadline 4000us packets 20 airtime 23us overhead 58us\n"
+        "connection 1 deadline 2500us packets 12 airtime 31us overhead 58us\n"
+        "connection 2 deadline 5000us packets 30 airtime 47us overhead 58us\n"
+        "connection 3 deadline 2500us packets 8 airtime 23us overhead 58us\n"
+        "connection 4 deadline 6000us packets 25 airtime 31us overhead 58us\n"
+        "scheduler step 150us ordering deadline-ascending\n"
+        "schedulers tsgs random\n" + _CHANNEL + "seeds 3 5 8\n",
+        "49c2bae8dce52834be06a5bb9d0cacb648257bf68c5bacd6b46c5217b80d96de",
+    ),
+    # a margin shrinks every grid; the sweep rescales deadlines around it
+    "margin": (
+        "format txsched/1\n"
+        "connection 0 deadline 6000us packets 20 airtime 23us overhead 58us\n"
+        "connection 1 deadline 6000us packets 20 airtime 31us overhead 58us\n"
+        "connection 2 deadline 7000us packets 15 airtime 47us overhead 58us\n"
+        "scheduler step 250us margin 400us\n"
+        "schedulers tsgs random\n" + _CHANNEL
+        + "sweep start 500us stop 3500us step 1000us\nseeds 11 12\n",
+        "328a9da86f8690f47bb8bd878b4afc2013bdaa3c64298f2ed531a8cf006df00c",
+    ),
+    # all three schedulers; the oracle finds cost 0 where greedy cannot
+    "three-schedulers": (
+        "format txsched/1\n"
+        "connection 0 deadline 3000us packets 10 airtime 23us overhead 58us\n"
+        "connection 1 deadline 3600us packets 12 airtime 31us overhead 58us\n"
+        "connection 2 deadline 2600us packets 6 airtime 47us overhead 58us\n"
+        "scheduler step 200us margin 100us\n"
+        "schedulers exhaustive tsgs random\n" + _CHANNEL + "seeds 21 22\n",
+        "7f766bf4fcce639261e84420094e1bf28bb8f00a5a1fcbc60b0e803b22b3616d",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(name, tmp_path):
     argv, digest = GOLDEN[name]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(INLINE))
+def test_inline_scenario_digest(name, tmp_path):
+    text, digest = INLINE[name]
+    scenario = tmp_path / f"{name}.scn"
+    scenario.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main(["run", str(scenario), "--format", "csv", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
