@@ -8,15 +8,12 @@ harness (`scenario`, `experiment`, `cli`).
 
 from .core import (
     InadmissibleRequestError,
-    Interval,
     Schedule,
     TimePoint,
     TimeSpan,
     TransmissionRequest,
     compute_duration,
     feasible,
-    intervals,
-    overlap,
     total_cost,
     window,
 )
@@ -68,7 +65,6 @@ __all__ = [
     "ConnectionStats",
     "InadmissibleRequestError",
     "InstanceTooLargeError",
-    "Interval",
     "MissingSchedulerError",
     "ScenarioError",
     "ScenarioSpec",
@@ -90,9 +86,7 @@ __all__ = [
     "exhaustive_schedule",
     "feasible",
     "format_summary",
-    "intervals",
     "load_scenario",
-    "overlap",
     "parse_scenario",
     "pdr",
     "random_schedule",

@@ -52,24 +52,6 @@ class TransmissionRequest:
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Half-open occupancy interval [start, start + length)."""
-
-    start: TimePoint
-    length: TimeSpan
-
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"interval start must be >= 0, got {self.start}")
-        if self.length < 0:
-            raise ValueError(f"interval length must be >= 0, got {self.length}")
-
-    @property
-    def end(self) -> TimePoint:
-        return self.start + self.length
-
-
-@dataclass(frozen=True)
 class Schedule:
     """Assigned start-sending times, index i holding connection i's start."""
 
@@ -108,36 +90,30 @@ def window(request: TransmissionRequest, margin: TimeSpan = 0) -> TimeSpan:
     return request.deadline - d - margin
 
 
-def overlap(a: Interval, b: Interval) -> TimeSpan:
-    """Length of the time intersection of two half-open intervals."""
-    return max(0, min(a.end, b.end) - max(a.start, b.start))
-
-
-def intervals(schedule: Schedule, requests: list[TransmissionRequest] | tuple) -> tuple[Interval, ...]:
-    """Occupancy interval of each connection under its scheduled start."""
-    if len(schedule.starts) != len(requests):
-        raise ValueError(
-            f"schedule has {len(schedule.starts)} starts for {len(requests)} requests"
-        )
-    return tuple(
-        Interval(start, compute_duration(req))
-        for start, req in zip(schedule.starts, requests)
-    )
-
-
 def total_cost(schedule: Schedule, requests: list[TransmissionRequest] | tuple) -> TimeSpan:
     """Total pairwise overlap, summed over all ordered pairs (i, j), i != j.
 
     Each unordered pair is counted twice; pairwise-disjoint intervals
-    (touching endpoints allowed) cost 0.
+    (touching endpoints allowed) cost 0. With k(x) the number of
+    occupancy intervals covering instant x, the sum equals the integral of
+    k(k - 1), taken in one sweep over the sorted endpoints.
     """
-    ivals = intervals(schedule, requests)
-    n = len(ivals)
-    total = 0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += overlap(ivals[i], ivals[j])
+    if len(schedule.starts) != len(requests):
+        raise ValueError(
+            f"schedule has {len(schedule.starts)} starts for {len(requests)} requests"
+        )
+    steps: dict[TimePoint, int] = {}
+    for start, req in zip(schedule.starts, requests):
+        if start < 0:
+            raise ValueError(f"interval start must be >= 0, got {start}")
+        end = start + compute_duration(req)
+        steps[start] = steps.get(start, 0) + 1
+        steps[end] = steps.get(end, 0) - 1
+    total = covered = previous = 0
+    for point in sorted(steps):
+        total += covered * (covered - 1) * (point - previous)
+        covered += steps[point]
+        previous = point
     return total
 
 

@@ -81,21 +81,25 @@ def _fail(source: str, lineno: int, message: str) -> None:
     raise ScenarioError(f"{source}:{lineno}: {message}")
 
 
+def _is_integer(text: str) -> bool:
+    # an optional '-' and ASCII digits; int() alone would also take
+    # '1_000', '+5' and non-ASCII digits such as '٣'
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
 def _parse_us(source: str, lineno: int, field: str, token: str) -> int:
     if not token.endswith("us"):
         _fail(source, lineno, f"{field} must carry a 'us' suffix, got {token!r}")
-    try:
-        value = int(token[:-2])
-    except ValueError:
+    if not _is_integer(token[:-2]):
         _fail(source, lineno, f"{field} is not an integer microsecond value: {token!r}")
-    return value
+    return int(token[:-2])
 
 
 def _parse_int(source: str, lineno: int, field: str, token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
+    if not _is_integer(token):
         _fail(source, lineno, f"{field} is not an integer: {token!r}")
+    return int(token)
 
 
 def _parse_float(source: str, lineno: int, field: str, token: str) -> float:
@@ -108,7 +112,11 @@ def _parse_float(source: str, lineno: int, field: str, token: str) -> float:
 def _pairs(source: str, lineno: int, directive: str, args: list[str]):
     if len(args) % 2 != 0:
         _fail(source, lineno, f"{directive} expects key/value pairs")
-    return zip(args[::2], args[1::2])
+    keys = args[::2]
+    for index, key in enumerate(keys):
+        if key in keys[:index]:
+            _fail(source, lineno, f"{directive} repeats {key!r}")
+    return zip(keys, args[1::2])
 
 
 def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:

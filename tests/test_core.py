@@ -2,15 +2,13 @@ import random
 
 import pytest
 
+from reference import intervals, overlap
 from txsched import (
     InadmissibleRequestError,
-    Interval,
     Schedule,
     TransmissionRequest,
     compute_duration,
     feasible,
-    intervals,
-    overlap,
     total_cost,
     window,
 )
@@ -71,29 +69,33 @@ class TestWindow:
             assert window(r) + compute_duration(r) == r.deadline
 
 
+def pair_overlap(start_a, length_a, start_b, length_b):
+    """Overlap of [start_a, start_a + length_a) and [start_b, ...), read
+    through total_cost, which counts the one pair twice."""
+    rs = [req(10_000, airtime=length_a), req(10_000, airtime=length_b, id=1)]
+    return total_cost(Schedule((start_a, start_b)), rs) // 2
+
+
 class TestOverlap:
     def test_half_shifted(self):
-        assert overlap(Interval(0, 100), Interval(50, 100)) == 50
+        assert pair_overlap(0, 100, 50, 100) == 50
 
     def test_touching_is_zero(self):
-        assert overlap(Interval(0, 100), Interval(100, 100)) == 0
+        assert pair_overlap(0, 100, 100, 100) == 0
 
     def test_nested(self):
-        assert overlap(Interval(0, 100), Interval(25, 50)) == 50
+        assert pair_overlap(0, 100, 25, 50) == 50
 
     def test_symmetric_bounded_translation_invariant(self):
         rng = random.Random(99)
         for _ in range(500):
-            a = Interval(rng.randint(0, 1000), rng.randint(0, 300))
-            b = Interval(rng.randint(0, 1000), rng.randint(0, 300))
-            o = overlap(a, b)
-            assert o == overlap(b, a)
-            assert 0 <= o <= min(a.length, b.length)
+            a = (rng.randint(0, 1000), rng.randint(1, 300))
+            b = (rng.randint(0, 1000), rng.randint(1, 300))
+            o = pair_overlap(*a, *b)
+            assert o == pair_overlap(*b, *a)
+            assert 0 <= o <= min(a[1], b[1])
             shift = rng.randint(0, 500)
-            assert o == overlap(
-                Interval(a.start + shift, a.length),
-                Interval(b.start + shift, b.length),
-            )
+            assert o == pair_overlap(a[0] + shift, a[1], b[0] + shift, b[1])
 
 
 class TestTotalCost:
@@ -137,11 +139,14 @@ class TestTotalCost:
         rng = random.Random(777)
         for _ in range(300):
             schedule, rs = self._random_instance(rng)
-            ivals = intervals(schedule, rs)
+            spans = [
+                (start, start + compute_duration(r))
+                for start, r in zip(schedule.starts, rs)
+            ]
             disjoint = all(
-                ivals[i].end <= ivals[j].start or ivals[j].end <= ivals[i].start
-                for i in range(len(ivals))
-                for j in range(i + 1, len(ivals))
+                spans[i][1] <= spans[j][0] or spans[j][1] <= spans[i][0]
+                for i in range(len(spans))
+                for j in range(i + 1, len(spans))
             )
             assert (total_cost(schedule, rs) == 0) == disjoint
 
@@ -187,14 +192,19 @@ class TestValidation:
 
     def test_negative_interval_start(self):
         with pytest.raises(ValueError):
-            Interval(-1, 10)
+            total_cost(Schedule((-1, 0)), [req(100), req(100, id=1)])
 
     def test_negative_interval_length(self):
+        # occupancy lengths are train durations, kept positive by the request
+        assert compute_duration(req(1, airtime=1)) == 1
         with pytest.raises(ValueError):
-            Interval(0, -10)
+            req(100, airtime=-10)
 
     def test_interval_end(self):
-        assert Interval(40, 60).end == 100
+        # [40, 100) ends where [100, 110) starts; one tick earlier they overlap
+        rs = [req(1000, airtime=60), req(1000, airtime=10, id=1)]
+        assert total_cost(Schedule((40, 100)), rs) == 0
+        assert total_cost(Schedule((40, 99)), rs) == 2
 
     def test_schedule_len(self):
         assert len(Schedule((0, 10, 20))) == 3

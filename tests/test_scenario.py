@@ -206,6 +206,55 @@ class TestErrors:
             line=3,
         )
 
+    def test_repeated_key_in_directive(self):
+        self.expect(
+            "format txsched/1\n"
+            "connection 0 deadline 100us deadline 5000us packets 1 airtime 10us\n",
+            "connection repeats 'deadline'",
+            line=2,
+        )
+        self.expect(
+            "format txsched/1\nscheduler step 5us step 7us\n",
+            "scheduler repeats 'step'",
+            line=2,
+        )
+
+    def test_underscored_digits_rejected(self):
+        self.expect(
+            "format txsched/1\n"
+            "connection 0 deadline 1_000us packets 1 airtime 10us\n",
+            "not an integer microsecond value: '1_000us'",
+            line=2,
+        )
+        self.expect("format txsched/1\nseeds 1_0\n", "not an integer: '1_0'", line=2)
+
+    def test_non_ascii_digits_rejected(self):
+        self.expect(
+            "format txsched/1\n"
+            "connection 0 deadline \u0663\u0660\u0660\u0660us packets 1 airtime 10us\n",
+            "not an integer microsecond value",
+            line=2,
+        )
+        self.expect(
+            "format txsched/1\nconnection 0 deadline 100us packets \u0663\n",
+            "packets is not an integer",
+            line=2,
+        )
+
+    def test_negative_values_reach_range_checks(self):
+        self.expect(
+            "format txsched/1\n"
+            "connection 0 deadline -5us packets 1 airtime 10us\n"
+            "scheduler step 10us\nschedulers tsgs\nseeds 1\n",
+            "deadline must be >= 0",
+            line=2,
+        )
+        self.expect(
+            "format txsched/1\nscheduler step -5us\n",
+            "step must be > 0",
+            line=2,
+        )
+
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_scenario("/nonexistent/path.scn")
