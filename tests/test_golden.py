@@ -20,7 +20,8 @@ GOLDEN = {
         ["run", "table2", "--format", "json"],
         "ee25630f8b8e4060e736b8e6e2e842da2a3e1b5a57489fef25602ef085c43741",
     ),
-    # 502 lines, 32 collided packets: exercises backoff and collisions
+    # 502 lines, 32 collided packets from same-instant commits; table2
+    # never defers, so no backoff transition appears (see INLINE_TRACE)
     "trace-random": (
         ["trace", "table2", "--scheduler", "random", "--seed", "101",
          "--window", "3280us"],
@@ -70,6 +71,28 @@ INLINE = {
 }
 
 
+# name -> (scenario text, `trace` options, sha256 of the trace)
+INLINE_TRACE = {
+    # 222 lines: five trains on 200us windows with cw 3 reach every
+    # backoff transition (defer at the sense and in the AIFS, countdown
+    # frozen mid-way, commit at zero slots), collisions and an ambient loss
+    "backoff": (
+        "format txsched/1\n"
+        "connection 0 deadline 3000us packets 6 airtime 23us overhead 58us\n"
+        "connection 1 deadline 3000us packets 5 airtime 31us overhead 58us\n"
+        "connection 2 deadline 3000us packets 4 airtime 47us overhead 58us\n"
+        "connection 3 deadline 3000us packets 6 airtime 23us overhead 58us\n"
+        "connection 4 deadline 3000us packets 5 airtime 31us overhead 58us\n"
+        "scheduler step 100us\n"
+        "schedulers tsgs random\n"
+        "channel slot_time 13us aifs 58us cw 3 ambient_loss 0.05\n"
+        "seeds 8\n",
+        ["--scheduler", "random", "--seed", "8", "--window", "200us"],
+        "9f55a4af85765e5824a859063526367da0cbf3ca09079cee8c671e83f01ac83c",
+    ),
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(name, tmp_path):
     argv, digest = GOLDEN[name]
@@ -85,4 +108,14 @@ def test_inline_scenario_digest(name, tmp_path):
     scenario.write_text(text, encoding="utf-8")
     out = tmp_path / "out.csv"
     assert main(["run", str(scenario), "--format", "csv", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(INLINE_TRACE))
+def test_inline_trace_digest(name, tmp_path):
+    text, options, digest = INLINE_TRACE[name]
+    scenario = tmp_path / f"{name}.scn"
+    scenario.write_text(text, encoding="utf-8")
+    out = tmp_path / "trace.txt"
+    assert main(["trace", str(scenario)] + options + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
