@@ -37,6 +37,7 @@ from .scenario import (
     ScenarioError,
     ScenarioSpec,
     WindowSweep,
+    _is_integer,
     load_scenario,
 )
 from .simulator import simulate
@@ -63,12 +64,15 @@ def resolve_scenario(name: str) -> Path:
 def _parse_cli_us(value: str) -> int:
     # the CLI accepts both '3280us' and bare microsecond integers
     text = value[:-2] if value.endswith("us") else value
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"not a microsecond value: {value!r}"
-        ) from exc
+    if not _is_integer(text):
+        raise argparse.ArgumentTypeError(f"not a microsecond value: {value!r}")
+    return int(text)
+
+
+def _parse_cli_int(value: str) -> int:
+    if not _is_integer(value):
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
+    return int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="emit the event trace of one run")
     p.add_argument("scenario")
     p.add_argument("--scheduler", choices=SCHEDULER_NAMES, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_parse_cli_int, required=True)
     p.add_argument(
         "--window", type=_parse_cli_us, default=None,
         help="rescale all windows to this size (default: native deadlines)",

@@ -103,10 +103,11 @@ def _parse_int(source: str, lineno: int, field: str, token: str) -> int:
 
 
 def _parse_float(source: str, lineno: int, field: str, token: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        _fail(source, lineno, f"{field} is not a number: {token!r}")
+    # an integer with at most one '.'; float() alone would also take
+    # '0.0_1', '1e-2', 'nan' and non-ASCII digits such as '٠.5'
+    if not _is_integer(token.replace(".", "", 1)):
+        _fail(source, lineno, f"{field} is not a decimal number: {token!r}")
+    return float(token)
 
 
 def _pairs(source: str, lineno: int, directive: str, args: list[str]):

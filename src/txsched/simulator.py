@@ -22,16 +22,27 @@ channel for its full airtime. Airtime intervals are half-open, so a packet
 starting exactly when another ends is clean.
 
 Determinism is absolute: the event queue is ordered by
-(time, event-type priority, connection id, insertion order), with
-transmission endings resolved before same-instant sense/timer decisions,
-and those before same-instant transmission starts. Senders whose access
-decisions land on the same instant therefore transmit together and
-collide, with no hidden jitter. Identical (requests, schedule, channel
-config, seed) reproduce byte-identical reports.
+(time, priority, id, position), with transmission endings resolved before
+same-instant sense/timer decisions, and those before same-instant
+transmission starts. Senders whose access decisions land on the same
+instant therefore transmit together and collide, with no hidden jitter.
+Identical (requests, schedule, channel config, seed) reproduce
+byte-identical reports.
 
 A sender's identity is its position in the request list. Connection ids
 are labels only: they break same-instant ties and name senders in traces
-and stats, so two requests may share one.
+and stats, so two requests may share one; position breaks the ties that
+remain.
+
+The countdown still means one decrement per idle slot, but it is computed
+once per idle period rather than stepped slot by slot. At an idle edge t
+each frozen sender with b slots left would commit at t + aifs + b *
+slot_time, and only the earliest of those commits becomes an event. At the
+next busy edge T every remaining contender keeps
+b - (T - t - aifs) // slot_time slots, a slot ending exactly at T counting
+because decisions resolve before starts. Each idle or busy edge visits only
+the senders waiting on it, in position order, so fresh backoffs are drawn
+from the shared RNG in input order and nothing scans all N senders.
 """
 
 from __future__ import annotations
@@ -48,9 +59,11 @@ _PRIO_TX_END = 0
 _PRIO_DECISION = 1
 _PRIO_TX_START = 2
 
-# Event kinds, indexing the handler table in `_Sim.run`. Timers come last:
-# an event is a timer iff its kind >= _AIFS_END.
-_TX_END, _SENSE, _TX_START, _AIFS_END, _BK_AIFS_END, _SLOT_END = range(6)
+# Event kinds. A commit is a timer: it carries the sender's timer token and
+# is dropped once the token has moved on. A countdown mark only prints the
+# "backoff-aifs->backoff-countdown" line where a contender's AIFS ends, and
+# is pushed only when a trace is kept.
+_TX_END, _SENSE, _TX_START, _COMMIT, _COUNTDOWN_MARK = range(5)
 
 PHASES = (
     "idle-until-start",
@@ -63,6 +76,17 @@ PHASES = (
     "transmitting",
     "done",
 )
+(
+    _IDLE_UNTIL_START,
+    _SENSING,
+    _AIFS_WAIT,
+    _BACKOFF_WAIT_IDLE,
+    _BACKOFF_AIFS,
+    _BACKOFF_COUNTDOWN,
+    _TX_PENDING,
+    _TRANSMITTING,
+    _DONE,
+) = range(len(PHASES))
 
 
 @dataclass(frozen=True)
@@ -93,17 +117,19 @@ class ChannelConfig:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class SenderState:
     """Mutable per-connection state advanced by the event loop.
 
-    ``phase`` is one of ``PHASES``; the three backoff-* phases refine the
+    ``phase`` indexes ``PHASES``; the three backoff-* phases refine the
     deferred state ("sensing" and "tx-pending" only ever persist within a
-    single instant). ``backoff_slots_remaining`` is meaningful in the
-    backoff-* phases and holds the frozen countdown across busy periods.
-    ``timer_token`` invalidates stale timer events: every scheduled or
-    cancelled timer bumps it, and an expiry whose token no longer matches
-    is ignored.
+    single instant). "backoff-countdown" differs from "backoff-aifs" only
+    in trace text, so without a trace a contender stays "backoff-aifs".
+    ``backoff_slots_remaining`` holds the frozen countdown across busy
+    periods; while a contender counts down it keeps the value it had at
+    the idle edge. ``timer_token`` invalidates stale commit events: every
+    commit scheduled or cancelled bumps it, and an expiry whose token no
+    longer matches is ignored.
     """
 
     position: int
@@ -112,12 +138,11 @@ class SenderState:
     airtime: TimeSpan
     deadline: TimePoint
     packets_remaining: int
-    phase: str = "idle-until-start"
+    phase: int = _IDLE_UNTIL_START
     backoff_slots_remaining: int = 0
     timer_token: int = 0
     # per-packet bookkeeping
     packet_index: int = 0
-    current_tx_start: TimePoint = 0
     current_collided: bool = False
     # outcome counters
     sent: int = 0
@@ -203,208 +228,171 @@ def collision_summary(report: SimReport) -> list[int]:
     return [c.collided for c in report.per_connection]
 
 
-class _Sim:
-    """One simulation run; see `simulate` for the public contract."""
+def _run(
+    senders: list[SenderState],
+    channel: ChannelConfig,
+    seed: int,
+    trace: list[str] | None,
+) -> int:
+    """Advance every sender through its whole train; return the number of
+    backoff activations.
 
-    def __init__(
-        self,
-        requests: list[TransmissionRequest],
-        schedule: Schedule,
-        channel: ChannelConfig,
-        seed: int,
-        trace: list[str] | None,
-    ) -> None:
-        if len(schedule.starts) != len(requests):
-            raise ValueError(
-                f"schedule has {len(schedule.starts)} starts for "
-                f"{len(requests)} requests"
-            )
-        for start in schedule.starts:
-            if start < 0:
-                raise ValueError(f"scheduled start must be >= 0, got {start}")
-        self.channel = channel
-        self.rng = random.Random(seed)
-        self.trace = trace
-        self.senders = [
-            SenderState(
-                position=position,
-                connection_id=req.id,
-                scheduled_start=start,
-                airtime=req.packet_airtime,
-                deadline=req.deadline,
-                packets_remaining=req.packet_count,
-            )
-            for position, (req, start) in enumerate(zip(requests, schedule.starts))
-        ]
-        self.active: dict[int, SenderState] = {}
-        self.heap: list[tuple] = []
-        self.seq = 0
-        self.backoff_activations = 0
+    Heap entries are ``(time, priority, id, position, kind, token)``, all
+    ints; ``token`` is only read for timer kinds. The handlers are inlined
+    here, and every trace line is guarded, so a run without a trace does
+    no trace work.
+    """
+    rng = random.Random(seed)
+    aifs = channel.aifs
+    slot = channel.slot_time
+    cw = channel.cw
+    loss = channel.ambient_loss_rate
+    push = heapq.heappush
+    pop = heapq.heappop
 
-    # -- event plumbing ------------------------------------------------
+    active: dict[int, SenderState] = {}  # on air, by position
+    waiting: set[int] = set()  # aifs-wait
+    frozen: set[int] = set()  # backoff-wait-idle; empty while the channel is idle
+    # backoff-aifs/-countdown since the idle edge at idle_since; empty while busy
+    contending: dict[int, SenderState] = {}
+    idle_since = 0
+    activations = 0
 
-    def _push(self, time: TimePoint, prio: int, sender: SenderState, kind: int,
-              token: int = -1) -> None:
-        self.seq += 1
-        heapq.heappush(
-            self.heap,
-            (time, prio, sender.connection_id, self.seq, sender, kind, token),
-        )
+    heap = [
+        (s.scheduled_start, _PRIO_DECISION, s.connection_id, s.position, _SENSE, 0)
+        for s in senders
+    ]
+    heapq.heapify(heap)
+    while heap:
+        now, _prio, cid, pos, kind, token = pop(heap)
+        s = senders[pos]
+        if kind == _COMMIT:
+            if token != s.timer_token:
+                continue  # cancelled by a busy edge
+            if trace is not None:
+                trace.append(f"{now} c{cid} {PHASES[s.phase]}->tx-pending")
+            if s.phase == _AIFS_WAIT:
+                waiting.remove(pos)
+            else:
+                del contending[pos]
+            s.phase = _TX_PENDING
+            push(heap, (now, _PRIO_TX_START, cid, pos, _TX_START, 0))
 
-    def _schedule_timer(self, sender: SenderState, kind: int, time: TimePoint) -> None:
-        # a sender holds at most one live timer; scheduling replaces it
-        sender.timer_token += 1
-        self._push(time, _PRIO_DECISION, sender, kind, sender.timer_token)
+        elif kind == _SENSE:
+            if trace is not None:
+                trace.append(f"{now} c{cid} {PHASES[s.phase]}->sensing")
+            if active:
+                # first contention for this packet: draw the backoff and wait
+                s.backoff_slots_remaining = rng.randrange(cw)
+                activations += 1
+                if trace is not None:
+                    trace.append(f"{now} c{cid} sensing->backoff-wait-idle")
+                s.phase = _BACKOFF_WAIT_IDLE
+                frozen.add(pos)
+            else:
+                if trace is not None:
+                    trace.append(f"{now} c{cid} sensing->aifs-wait")
+                s.phase = _AIFS_WAIT
+                s.timer_token += 1
+                push(heap, (now + aifs, _PRIO_DECISION, cid, pos, _COMMIT,
+                            s.timer_token))
+                waiting.add(pos)
 
-    def _cancel_timer(self, sender: SenderState) -> None:
-        sender.timer_token += 1
-
-    def _set_phase(self, sender: SenderState, phase: str, now: TimePoint) -> None:
-        if self.trace is not None and phase != sender.phase:
-            self.trace.append(
-                f"{now} c{sender.connection_id} {sender.phase}->{phase}"
-            )
-        sender.phase = phase
-
-    def _note_outcome(self, sender: SenderState, now: TimePoint, outcome: str) -> None:
-        if self.trace is not None:
-            self.trace.append(
-                f"{now} c{sender.connection_id} packet {sender.packet_index} {outcome}"
-            )
-
-    # -- access decisions ----------------------------------------------
-
-    def _commit(self, sender: SenderState, now: TimePoint) -> None:
-        """The access decision is made; the transmission starts this instant."""
-        self._set_phase(sender, "tx-pending", now)
-        self._push(now, _PRIO_TX_START, sender, _TX_START)
-
-    def _defer(self, sender: SenderState, now: TimePoint) -> None:
-        """First contention for this packet: draw the backoff and wait."""
-        sender.backoff_slots_remaining = self.rng.randrange(self.channel.cw)
-        self.backoff_activations += 1
-        self._set_phase(sender, "backoff-wait-idle", now)
-
-    def _on_sense(self, sender: SenderState, now: TimePoint) -> None:
-        self._set_phase(sender, "sensing", now)
-        if self.active:
-            self._defer(sender, now)
-        else:
-            self._set_phase(sender, "aifs-wait", now)
-            self._schedule_timer(sender, _AIFS_END, now + self.channel.aifs)
-
-    def _on_backoff_aifs_end(self, sender: SenderState, now: TimePoint) -> None:
-        if sender.backoff_slots_remaining == 0:
-            self._commit(sender, now)
-        else:
-            self._set_phase(sender, "backoff-countdown", now)
-            self._schedule_timer(sender, _SLOT_END, now + self.channel.slot_time)
-
-    def _on_slot_end(self, sender: SenderState, now: TimePoint) -> None:
-        sender.backoff_slots_remaining -= 1
-        if sender.backoff_slots_remaining == 0:
-            self._commit(sender, now)
-        else:
-            self._schedule_timer(sender, _SLOT_END, now + self.channel.slot_time)
-
-    # -- channel occupancy ---------------------------------------------
-
-    def _on_tx_start(self, sender: SenderState, now: TimePoint) -> None:
-        was_idle = not self.active
-        sender.current_tx_start = now
-        sender.current_collided = False
-        if self.active:
-            # overlap on start destroys every packet in the air, ours included
-            for other in self.active.values():
-                other.current_collided = True
-            sender.current_collided = True
-        self.active[sender.position] = sender
-        self._set_phase(sender, "transmitting", now)
-        self._push(now + sender.airtime, _PRIO_TX_END, sender, _TX_END)
-        if was_idle:
-            # the idle->busy edge interrupts everyone mid-decision
-            for other in self.senders:
-                if other is sender:
-                    continue
-                if other.phase == "aifs-wait":
-                    self._cancel_timer(other)
-                    self._defer(other, now)
-                elif other.phase in ("backoff-aifs", "backoff-countdown"):
-                    self._cancel_timer(other)
-                    self._set_phase(other, "backoff-wait-idle", now)
-
-    def _on_tx_end(self, sender: SenderState, now: TimePoint) -> None:
-        sender.sent += 1
-        if sender.current_collided:
-            sender.collided += 1
-            self._note_outcome(sender, now, "collided")
-        elif (
-            self.channel.ambient_loss_rate > 0
-            and self.rng.random() < self.channel.ambient_loss_rate
-        ):
-            sender.ambient_lost += 1
-            self._note_outcome(sender, now, "ambient-lost")
-        else:
-            sender.received += 1
-            if now > sender.deadline:
-                sender.delivered_late += 1
-            self._note_outcome(sender, now, "received")
-        cycle = self.channel.aifs + sender.airtime
-        nominal_end = sender.scheduled_start + (sender.packet_index + 1) * cycle
-        sender.delay_total_us += now - nominal_end
-        sender.last_tx_end = now
-        sender.packet_index += 1
-        sender.packets_remaining -= 1
-        del self.active[sender.position]
-        if not self.active:
-            # idle edge: every frozen sender restarts its AIFS now
-            for other in self.senders:
-                if other.phase == "backoff-wait-idle":
-                    self._set_phase(other, "backoff-aifs", now)
-                    self._schedule_timer(
-                        other, _BK_AIFS_END, now + self.channel.aifs
+        elif kind == _TX_START:
+            if trace is not None:
+                trace.append(f"{now} c{cid} tx-pending->transmitting")
+            s.phase = _TRANSMITTING
+            push(heap, (now + s.airtime, _PRIO_TX_END, cid, pos, _TX_END, 0))
+            if active:
+                # overlap on start destroys every packet in the air, ours included
+                for other in active.values():
+                    other.current_collided = True
+                s.current_collided = True
+                active[pos] = s
+                continue
+            s.current_collided = False
+            active[pos] = s
+            if not (waiting or contending):
+                continue
+            # busy edge: interrupt everyone mid-decision, in input order
+            elapsed = (now - idle_since - aifs) // slot
+            members = sorted(waiting.union(contending))
+            for p in members:
+                other = senders[p]
+                other.timer_token += 1
+                if other.phase == _AIFS_WAIT:
+                    other.backoff_slots_remaining = rng.randrange(cw)
+                    activations += 1
+                else:
+                    other.backoff_slots_remaining -= elapsed
+                if trace is not None:
+                    trace.append(
+                        f"{now} c{other.connection_id} "
+                        f"{PHASES[other.phase]}->backoff-wait-idle"
                     )
-        if sender.packets_remaining > 0:
-            self._push(now, _PRIO_DECISION, sender, _SENSE)
-        else:
-            self._set_phase(sender, "done", now)
+                other.phase = _BACKOFF_WAIT_IDLE
+            frozen.update(members)
+            waiting.clear()
+            contending.clear()
 
-    # -- main loop -----------------------------------------------------
+        elif kind == _TX_END:
+            s.sent += 1
+            if s.current_collided:
+                s.collided += 1
+                outcome = "collided"
+            elif loss > 0 and rng.random() < loss:
+                s.ambient_lost += 1
+                outcome = "ambient-lost"
+            else:
+                s.received += 1
+                if now > s.deadline:
+                    s.delivered_late += 1
+                outcome = "received"
+            if trace is not None:
+                trace.append(f"{now} c{cid} packet {s.packet_index} {outcome}")
+            s.packet_index += 1
+            nominal_end = s.scheduled_start + s.packet_index * (aifs + s.airtime)
+            s.delay_total_us += now - nominal_end
+            s.last_tx_end = now
+            s.packets_remaining -= 1
+            del active[pos]
+            if not active and frozen:
+                # idle edge: every frozen sender restarts its AIFS now, and
+                # the earliest to count down to zero commits first
+                idle_since = now
+                least = cw
+                for p in sorted(frozen):
+                    other = senders[p]
+                    if trace is not None:
+                        trace.append(
+                            f"{now} c{other.connection_id} "
+                            "backoff-wait-idle->backoff-aifs"
+                        )
+                    other.phase = _BACKOFF_AIFS
+                    other.timer_token += 1
+                    contending[p] = other
+                    if other.backoff_slots_remaining < least:
+                        least = other.backoff_slots_remaining
+                frozen.clear()
+                commit_at = now + aifs + least * slot
+                for p, other in contending.items():
+                    if other.backoff_slots_remaining == least:
+                        push(heap, (commit_at, _PRIO_DECISION, other.connection_id,
+                                    p, _COMMIT, other.timer_token))
+                    if trace is not None and other.backoff_slots_remaining:
+                        push(heap, (now + aifs, _PRIO_DECISION, other.connection_id,
+                                    p, _COUNTDOWN_MARK, other.timer_token))
+            if s.packets_remaining > 0:
+                push(heap, (now, _PRIO_DECISION, cid, pos, _SENSE, 0))
+            else:
+                if trace is not None:
+                    trace.append(f"{now} c{cid} transmitting->done")
+                s.phase = _DONE
 
-    def run(self) -> SimReport:
-        for sender in self.senders:
-            self._push(
-                sender.scheduled_start, _PRIO_DECISION, sender, _SENSE
-            )
-        handlers = (
-            self._on_tx_end,
-            self._on_sense,
-            self._on_tx_start,
-            self._commit,
-            self._on_backoff_aifs_end,
-            self._on_slot_end,
-        )
-        while self.heap:
-            time, _prio, _id, _seq, sender, kind, token = heapq.heappop(self.heap)
-            if kind >= _AIFS_END and token != sender.timer_token:
-                continue  # cancelled
-            handlers[kind](sender, time)
-        stats = tuple(
-            ConnectionStats(
-                connection_id=s.connection_id,
-                sent=s.sent,
-                received=s.received,
-                collided=s.collided,
-                ambient_lost=s.ambient_lost,
-                delivered_late=s.delivered_late,
-                delay_total_us=s.delay_total_us,
-                realized_duration_us=s.last_tx_end - s.scheduled_start,
-            )
-            for s in self.senders
-        )
-        return SimReport(
-            per_connection=stats, backoff_activations=self.backoff_activations
-        )
+        elif token == s.timer_token:  # _COUNTDOWN_MARK, only with a trace
+            trace.append(f"{now} c{cid} backoff-aifs->backoff-countdown")
+            s.phase = _BACKOFF_COUNTDOWN
+    return activations
 
 
 def simulate(
@@ -431,4 +419,37 @@ def simulate(
         ValueError: schedule and request counts differ, or a start is
             negative.
     """
-    return _Sim(requests, schedule, channel, seed, trace).run()
+    if len(schedule.starts) != len(requests):
+        raise ValueError(
+            f"schedule has {len(schedule.starts)} starts for "
+            f"{len(requests)} requests"
+        )
+    for start in schedule.starts:
+        if start < 0:
+            raise ValueError(f"scheduled start must be >= 0, got {start}")
+    senders = [
+        SenderState(
+            position=position,
+            connection_id=req.id,
+            scheduled_start=start,
+            airtime=req.packet_airtime,
+            deadline=req.deadline,
+            packets_remaining=req.packet_count,
+        )
+        for position, (req, start) in enumerate(zip(requests, schedule.starts))
+    ]
+    activations = _run(senders, channel, seed, trace)
+    stats = tuple(
+        ConnectionStats(
+            connection_id=s.connection_id,
+            sent=s.sent,
+            received=s.received,
+            collided=s.collided,
+            ambient_lost=s.ambient_lost,
+            delivered_late=s.delivered_late,
+            delay_total_us=s.delay_total_us,
+            realized_duration_us=s.last_tx_end - s.scheduled_start,
+        )
+        for s in senders
+    )
+    return SimReport(per_connection=stats, backoff_activations=activations)

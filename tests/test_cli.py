@@ -103,6 +103,18 @@ class TestSweep:
         assert code == 1
         assert "invalid sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option, value", [("--start", "3_280us"), ("--step", "\u0663")]
+    )
+    def test_lenient_integers_are_usage_errors(self, option, value, capsys):
+        # int() alone reads '3_280us' as 3280 and '\u0663' as 3
+        argv = {"--start": "3280", "--stop": "3280", "--step": "1"}
+        argv[option] = value
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "table2"] + [t for kv in argv.items() for t in kv])
+        assert exc.value.code == 2
+        assert f"not a microsecond value: {value!r}" in capsys.readouterr().err
+
 
 class TestTrace:
     def test_writes_phase_transitions(self, small_scn, tmp_path):
@@ -122,6 +134,13 @@ class TestTrace:
              "--window", "810us"]
         ) == 0
         assert "->" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", ["1_0", "\u0663"])
+    def test_lenient_seed_is_usage_error(self, small_scn, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", small_scn, "--scheduler", "tsgs", "--seed", seed])
+        assert exc.value.code == 2
+        assert f"not an integer: {seed!r}" in capsys.readouterr().err
 
 
 class TestResolution:

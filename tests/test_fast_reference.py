@@ -1,15 +1,19 @@
 """The prefix-integral schedulers and the sweep cost equal the naive
-references in ``reference.py`` on schedule, cost and counter."""
+references in ``reference.py`` on schedule, cost and counter, and the
+simulator's arithmetic countdown equals the per-slot reference on report
+and trace."""
 
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from txsched import (
+    ChannelConfig,
     Schedule,
     SchedulerConfig,
     TransmissionRequest,
     exhaustive_schedule,
+    simulate,
     total_cost,
     tsgs_schedule,
 )
@@ -60,6 +64,53 @@ def test_total_cost_equals_reference(spans):
     ]
     schedule = Schedule(tuple(start for start, _ in spans))
     assert total_cost(schedule, requests) == reference.total_cost(schedule, requests)
+
+
+@st.composite
+def channel_runs(draw, max_n=6):
+    """Senders and a channel built for ties: starts on the slot grid,
+    airtimes in whole slots and AIFS often a slot multiple, so idle and
+    busy edges, AIFS ends and slot ends keep landing on one instant. Half
+    the examples repeat connection ids; the others shuffle distinct ids so
+    that id order differs from position order."""
+    slot = draw(st.integers(1, 4))
+    aifs = draw(st.sampled_from((0, slot, 2 * slot, draw(st.integers(0, 9)))))
+    cw = draw(st.integers(1, 6))
+    loss = draw(st.sampled_from((0.0, 0.3)))
+    n = draw(st.integers(1, max_n))
+    if draw(st.booleans()):
+        ids = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    else:
+        ids = draw(st.permutations(range(n)))
+    requests = [
+        TransmissionRequest(
+            ids[i],
+            draw(st.integers(0, 60)),
+            draw(st.integers(1, 4)),
+            slot * draw(st.integers(1, 4)),
+        )
+        for i in range(n)
+    ]
+    starts = tuple(slot * draw(st.integers(0, 12)) for _ in range(n))
+    channel = ChannelConfig(
+        slot_time=slot, aifs=aifs, cw=cw, ambient_loss_rate=loss
+    )
+    return requests, Schedule(starts), channel, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(channel_runs())
+def test_simulate_equals_reference(run):
+    requests, schedule, channel, seed = run
+    trace, expected_trace = [], []
+    report = simulate(requests, schedule, channel, seed, trace=trace)
+    expected = reference.simulate(
+        requests, schedule, channel, seed, trace=expected_trace
+    )
+    assert report == expected
+    assert trace == expected_trace
+    # the trace switch changes nothing but the trace
+    assert simulate(requests, schedule, channel, seed) == expected
 
 
 def test_exhaustive_one_point_grids_do_not_recurse():

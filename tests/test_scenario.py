@@ -241,6 +241,29 @@ class TestErrors:
             line=2,
         )
 
+    def test_lenient_decimals_rejected(self):
+        # float() alone reads '0.0_1' as 0.01 and '\u0660.5' as 0.5
+        for token in ("0.0_1", "\u0660.5", "1e-2", "nan", "0.1.2", "."):
+            self.expect(
+                f"format txsched/1\nchannel ambient_loss {token}\n",
+                f"ambient_loss is not a decimal number: {token!r}",
+                line=2,
+            )
+
+    def test_plain_decimals_accepted(self):
+        spec = parse(
+            "format txsched/1\n"
+            "connection 0 deadline 100us packets 1 airtime 10us\n"
+            "scheduler step 10us\nschedulers tsgs\nseeds 1\n"
+            "channel ambient_loss .25\n"
+        )
+        assert spec.channel.ambient_loss_rate == 0.25
+        self.expect(
+            "format txsched/1\nchannel ambient_loss -0.5\n",
+            "invalid channel",
+            line=2,
+        )
+
     def test_negative_values_reach_range_checks(self):
         self.expect(
             "format txsched/1\n"
