@@ -90,6 +90,21 @@ INLINE_TRACE = {
         ["--scheduler", "random", "--seed", "8", "--window", "200us"],
         "9f55a4af85765e5824a859063526367da0cbf3ca09079cee8c671e83f01ac83c",
     ),
+    # 48 lines: tsgs places three 243us trains back to back, so each
+    # train's last packet ends at the instant the next train first senses;
+    # the ending resolves first, then the next sender finds the channel idle
+    "handoff": (
+        "format txsched/1\n"
+        "connection 0 deadline 3000us packets 3 airtime 23us overhead 58us\n"
+        "connection 1 deadline 3000us packets 3 airtime 23us overhead 58us\n"
+        "connection 2 deadline 3000us packets 3 airtime 23us overhead 58us\n"
+        "scheduler step 243us\n"
+        "schedulers tsgs random\n"
+        "channel slot_time 13us aifs 58us cw 15 ambient_loss 0.2\n"
+        "seeds 8\n",
+        ["--scheduler", "tsgs", "--seed", "8", "--window", "486us"],
+        "d13c3cc47308176c09ccab1f36ca5712bc7cab7d6dfe986de0305cd0d27b7f93",
+    ),
 }
 
 
