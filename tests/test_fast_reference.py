@@ -3,6 +3,7 @@ references in ``reference.py`` on schedule, cost and counter, and the
 simulator's arithmetic countdown equals the per-slot reference on report
 and trace."""
 
+import pytest
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -67,12 +68,14 @@ def test_total_cost_equals_reference(spans):
 
 
 @st.composite
-def channel_runs(draw, max_n=6):
+def channel_runs(draw, max_n=6, max_start_slot=12, max_packets=4):
     """Senders and a channel built for ties: starts on the slot grid,
     airtimes in whole slots and AIFS often a slot multiple, so idle and
     busy edges, AIFS ends and slot ends keep landing on one instant. Half
     the examples repeat connection ids; the others shuffle distinct ids so
-    that id order differs from position order."""
+    that id order differs from position order. Starts spread over many
+    slots with long trains leave runs of uncontended packets between the
+    contended ones."""
     slot = draw(st.integers(1, 4))
     aifs = draw(st.sampled_from((0, slot, 2 * slot, draw(st.integers(0, 9)))))
     cw = draw(st.integers(1, 6))
@@ -86,22 +89,21 @@ def channel_runs(draw, max_n=6):
         TransmissionRequest(
             ids[i],
             draw(st.integers(0, 60)),
-            draw(st.integers(1, 4)),
+            draw(st.integers(1, max_packets)),
             slot * draw(st.integers(1, 4)),
         )
         for i in range(n)
     ]
-    starts = tuple(slot * draw(st.integers(0, 12)) for _ in range(n))
+    starts = tuple(slot * draw(st.integers(0, max_start_slot)) for _ in range(n))
     channel = ChannelConfig(
         slot_time=slot, aifs=aifs, cw=cw, ambient_loss_rate=loss
     )
     return requests, Schedule(starts), channel, draw(st.integers(0, 2**16))
 
 
-@settings(max_examples=800, deadline=None, derandomize=True, database=None)
-@given(channel_runs())
-def test_simulate_equals_reference(run):
-    requests, schedule, channel, seed = run
+def assert_simulate_equals_reference(requests, schedule, channel, seed):
+    """Equal report and trace lines, and an untraced run equal too;
+    return the trace."""
     trace, expected_trace = [], []
     report = simulate(requests, schedule, channel, seed, trace=trace)
     expected = reference.simulate(
@@ -111,6 +113,76 @@ def test_simulate_equals_reference(run):
     assert trace == expected_trace
     # the trace switch changes nothing but the trace
     assert simulate(requests, schedule, channel, seed) == expected
+    return trace
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(channel_runs())
+def test_simulate_equals_reference(run):
+    assert_simulate_equals_reference(*run)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(channel_runs(max_start_slot=100, max_packets=8))
+def test_sparse_simulate_equals_reference(run):
+    assert_simulate_equals_reference(*run)
+
+
+# One uncontended train of three packets under the default channel (aifs
+# 58, slot 13): it senses at 0, 81 and 162, commits at 58, 139 and 220,
+# and its packets end at 81, 162 and 243. A second sender starts at one of
+# its edges.
+_TRAIN = TransmissionRequest(0, 10_000, 3, 23)
+_OTHER = TransmissionRequest(1, 10_000, 2, 23)
+
+EDGE_CASES = {
+    # senses together with the train's next packet, both commit at 139
+    "start-at-packet-end": ([_TRAIN, _OTHER], (0, 81), ChannelConfig(), 3),
+    # senses the last microsecond of a packet and defers
+    "start-before-packet-end": ([_TRAIN, _OTHER], (0, 80), ChannelConfig(), 3),
+    # senses after the train's commit, before its start, then defers at
+    # the busy edge; with the ids swapped it senses before the commit
+    "start-at-commit": ([_TRAIN, _OTHER], (0, 58), ChannelConfig(), 3),
+    "start-at-commit-lower-id": (
+        [TransmissionRequest(1, 10_000, 3, 23), TransmissionRequest(0, 10_000, 2, 23)],
+        (0, 58),
+        ChannelConfig(),
+        3,
+    ),
+    # no AIFS: a sense is a commit, and the packet ends one airtime later
+    "aifs-0": (
+        [_TRAIN, _OTHER, TransmissionRequest(2, 10_000, 2, 23)],
+        (0, 46, 100),
+        ChannelConfig(aifs=0),
+        3,
+    ),
+    # loss draws of an inline train interleave with another's backoff draw
+    "ambient-loss": (
+        [TransmissionRequest(0, 10_000, 8, 23), _OTHER],
+        (0, 100),
+        ChannelConfig(ambient_loss_rate=0.3),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASES))
+def test_simulate_edges_equal_reference(name):
+    requests, starts, channel, seed = EDGE_CASES[name]
+    assert_simulate_equals_reference(requests, Schedule(starts), channel, seed)
+
+
+def test_idle_sense_with_pending_contender_equals_reference():
+    # c1 defers at 60 and, at seed 1, draws 2 slots; at c0's packet end
+    # (81) it contends with a commit at 81 + 58 + 26 = 165, after c0's
+    # next packet would end (162). c0 senses idle at 81 but must still
+    # wait its AIFS and start at 139, freezing c1's countdown there.
+    requests = [TransmissionRequest(0, 10_000, 2, 23), _OTHER]
+    trace = assert_simulate_equals_reference(
+        requests, Schedule((0, 60)), ChannelConfig(), 1
+    )
+    assert "81 c0 sensing->aifs-wait" in trace
+    assert "139 c1 backoff-countdown->backoff-wait-idle" in trace
 
 
 def test_exhaustive_one_point_grids_do_not_recurse():
