@@ -116,9 +116,7 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
     channel simulation always varies with the seed. Deterministic: the
     same spec yields an identical table.
     """
-    points: list[int] = (
-        spec.sweep.points() if spec.sweep is not None else [NATIVE_WINDOW]
-    )
+    points = spec.sweep.points() if spec.sweep is not None else [NATIVE_WINDOW]
     seeds = sorted(spec.seeds)
     rows: list[SweepRow] = []
     for window_us in points:

@@ -61,8 +61,10 @@ class WindowSweep:
                 f"sweep stop {self.stop} is below start {self.start}"
             )
 
-    def points(self) -> list[TimeSpan]:
-        return list(range(self.start, self.stop + 1, self.step))
+    def points(self) -> range:
+        """The window sizes, start to stop inclusive; a ``range``, so its
+        ``len`` costs nothing however many points it holds."""
+        return range(self.start, self.stop + 1, self.step)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ class TestBundledScenario:
         assert spec.channel.ambient_loss_rate == 0.01
         assert spec.seeds == tuple(range(101, 121))
         assert spec.sweep is not None
-        assert spec.sweep.points() == list(range(3280, 32_801, 3280))
+        assert spec.sweep.points() == range(3280, 32_801, 3280)
 
     def test_name_with_extension_also_resolves(self):
         assert resolve_scenario("table2.scn").read_text().startswith("#")
@@ -76,8 +76,15 @@ class TestParsing:
         assert spec.seeds == (1, 2, 3, 4, 5)
 
     def test_sweep_points_inclusive(self):
-        assert WindowSweep(10, 50, 20).points() == [10, 30, 50]
-        assert WindowSweep(0, 0, 5).points() == [0]
+        assert list(WindowSweep(10, 50, 20).points()) == [10, 30, 50]
+        assert list(WindowSweep(0, 0, 5).points()) == [0]
+
+    def test_sweep_points_not_materialised(self):
+        # the type check comes first: a list-building points() must never
+        # be asked for the huge sweep below
+        assert isinstance(WindowSweep(10, 50, 20).points(), range)
+        assert len(WindowSweep(0, 10**15 - 1, 1).points()) == 10**15
+        assert len(WindowSweep(5, 10**15, 10**9).points()) == 10**6
 
 
 class TestErrors:
