@@ -237,6 +237,32 @@ class TestAmbientLoss:
         assert collision_summary(report) == [33, 33]
 
 
+class TestAnalyticMAC:
+    # c0's 200us packet is on air over [58, 258); c1 and c2 sense it busy
+    # at 100 and 150 and each draw a fresh uniform backoff of [0, cw - 1]
+    # slots. Both restart their AIFS at the idle edge 258 and commit
+    # together, colliding, exactly when the two draws are equal: with
+    # probability 1/cw, whatever the draws (Bianchi, IEEE JSAC 18(3), 2000).
+    SEEDS = 4000
+
+    @pytest.mark.parametrize("cw", [1, 2, 4, 15])
+    def test_two_deferred_senders_collide_with_probability_one_over_cw(self, cw):
+        reqs = [req(0, airtime=200), req(1), req(2)]
+        schedule = Schedule((0, 100, 150))
+        channel = ChannelConfig(cw=cw)
+        collided = 0
+        for seed in range(self.SEEDS):
+            report = simulate(reqs, schedule, channel, seed)
+            assert report.backoff_activations == 2
+            assert report.per_connection[0].collided == 0
+            c1, c2 = report.per_connection[1:]
+            assert c1.collided == c2.collided  # collisions are mutual
+            collided += c1.collided
+        p = 1 / cw
+        sigma = (p * (1 - p) / self.SEEDS) ** 0.5
+        assert abs(collided / self.SEEDS - p) <= 4 * sigma
+
+
 class TestConnectionIdentity:
     def test_duplicate_ids_conserve_packets(self):
         # ids are labels: two trains that share one still each send theirs
