@@ -43,6 +43,19 @@ b - (T - t - aifs) // slot_time slots, a slot ending exactly at T counting
 because decisions resolve before starts. Each idle or busy edge visits only
 the senders waiting on it, in position order, so fresh backoffs are drawn
 from the shared RNG in input order and nothing scans all N senders.
+
+A packet that nothing can contend with costs no events at all. When a
+sender senses an idle channel with no sender waiting out an AIFS or
+counting down (the ``contending`` check matters: only the earliest
+contenders have an event queued, and a later one must still see this
+packet's busy edge), and no queued event falls before the packet's end at
+now + aifs + airtime, the sense, AIFS, start and end are run inline. An
+event at exactly that end is safe, since an ending resolves before
+anything else at its instant. The same sender then senses again at once,
+inline while nothing else is queued at that instant. Trace lines, outcome
+accounting and the ambient-loss draw happen exactly where the queued
+events would have made them, so the RNG stream and every output byte are
+unchanged.
 """
 
 from __future__ import annotations
@@ -241,6 +254,18 @@ def _run(
     ints; ``token`` is only read for timer kinds. The handlers are inlined
     here, and every trace line is guarded, so a run without a trace does
     no trace work.
+
+    Senses and packet ends share one block. A sense with ``active``,
+    ``waiting`` and ``contending`` empty and no queued event before
+    ``now + aifs + airtime`` runs its packet to the end without touching
+    the heap: nothing can happen in between, and at the end the packet's
+    own ending (priority 0) resolves before any other event at that
+    instant, so an event exactly there may stay queued. ``frozen`` is
+    empty whenever ``active`` is, so the inline end is never an idle edge.
+    After any end, the sender's next sense runs at once unless another
+    event is queued at the same instant, in which case it is queued as
+    before. The loss draw stays at the packet's end, so the RNG order is
+    the one the queued events give.
     """
     rng = random.Random(seed)
     aifs = channel.aifs
@@ -277,26 +302,6 @@ def _run(
                 del contending[pos]
             s.phase = _TX_PENDING
             push(heap, (now, _PRIO_TX_START, cid, pos, _TX_START, 0))
-
-        elif kind == _SENSE:
-            if trace is not None:
-                trace.append(f"{now} c{cid} {PHASES[s.phase]}->sensing")
-            if active:
-                # first contention for this packet: draw the backoff and wait
-                s.backoff_slots_remaining = rng.randrange(cw)
-                activations += 1
-                if trace is not None:
-                    trace.append(f"{now} c{cid} sensing->backoff-wait-idle")
-                s.phase = _BACKOFF_WAIT_IDLE
-                frozen.add(pos)
-            else:
-                if trace is not None:
-                    trace.append(f"{now} c{cid} sensing->aifs-wait")
-                s.phase = _AIFS_WAIT
-                s.timer_token += 1
-                push(heap, (now + aifs, _PRIO_DECISION, cid, pos, _COMMIT,
-                            s.timer_token))
-                waiting.add(pos)
 
         elif kind == _TX_START:
             if trace is not None:
@@ -335,63 +340,104 @@ def _run(
             waiting.clear()
             contending.clear()
 
-        elif kind == _TX_END:
-            s.sent += 1
-            if s.current_collided:
-                s.collided += 1
-                outcome = "collided"
-            elif loss > 0 and rng.random() < loss:
-                s.ambient_lost += 1
-                outcome = "ambient-lost"
-            else:
-                s.received += 1
-                if now > s.deadline:
-                    s.delivered_late += 1
-                outcome = "received"
-            if trace is not None:
-                trace.append(f"{now} c{cid} packet {s.packet_index} {outcome}")
-            s.packet_index += 1
-            nominal_end = s.scheduled_start + s.packet_index * (aifs + s.airtime)
-            s.delay_total_us += now - nominal_end
-            s.last_tx_end = now
-            s.packets_remaining -= 1
-            del active[pos]
-            if not active and frozen:
-                # idle edge: every frozen sender restarts its AIFS now, and
-                # the earliest to count down to zero commits first
-                idle_since = now
-                least = cw
-                for p in sorted(frozen):
-                    other = senders[p]
-                    if trace is not None:
-                        trace.append(
-                            f"{now} c{other.connection_id} "
-                            "backoff-wait-idle->backoff-aifs"
-                        )
-                    other.phase = _BACKOFF_AIFS
-                    other.timer_token += 1
-                    contending[p] = other
-                    if other.backoff_slots_remaining < least:
-                        least = other.backoff_slots_remaining
-                frozen.clear()
-                commit_at = now + aifs + least * slot
-                for p, other in contending.items():
-                    if other.backoff_slots_remaining == least:
-                        push(heap, (commit_at, _PRIO_DECISION, other.connection_id,
-                                    p, _COMMIT, other.timer_token))
-                    if trace is not None and other.backoff_slots_remaining:
-                        push(heap, (now + aifs, _PRIO_DECISION, other.connection_id,
-                                    p, _COUNTDOWN_MARK, other.timer_token))
-            if s.packets_remaining > 0:
-                push(heap, (now, _PRIO_DECISION, cid, pos, _SENSE, 0))
-            else:
-                if trace is not None:
-                    trace.append(f"{now} c{cid} transmitting->done")
-                s.phase = _DONE
+        elif kind == _COUNTDOWN_MARK:  # only with a trace
+            if token == s.timer_token:
+                trace.append(f"{now} c{cid} backoff-aifs->backoff-countdown")
+                s.phase = _BACKOFF_COUNTDOWN
 
-        elif token == s.timer_token:  # _COUNTDOWN_MARK, only with a trace
-            trace.append(f"{now} c{cid} backoff-aifs->backoff-countdown")
-            s.phase = _BACKOFF_COUNTDOWN
+        else:
+            # a sense or a packet end, then the same sender's next ones
+            # for as long as each is the next event (see the docstring)
+            while True:
+                if kind == _SENSE:
+                    if trace is not None:
+                        trace.append(f"{now} c{cid} {PHASES[s.phase]}->sensing")
+                    if active:
+                        # first contention for this packet: draw the backoff
+                        s.backoff_slots_remaining = rng.randrange(cw)
+                        activations += 1
+                        if trace is not None:
+                            trace.append(f"{now} c{cid} sensing->backoff-wait-idle")
+                        s.phase = _BACKOFF_WAIT_IDLE
+                        frozen.add(pos)
+                        break
+                    if trace is not None:
+                        trace.append(f"{now} c{cid} sensing->aifs-wait")
+                    end = now + aifs + s.airtime
+                    if waiting or contending or (heap and heap[0][0] < end):
+                        s.phase = _AIFS_WAIT
+                        s.timer_token += 1
+                        push(heap, (now + aifs, _PRIO_DECISION, cid, pos, _COMMIT,
+                                    s.timer_token))
+                        waiting.add(pos)
+                        break
+                    # uncontended: no other event comes before this packet's
+                    # end, and at the end its own ending resolves first
+                    if trace is not None:
+                        trace.append(f"{now + aifs} c{cid} aifs-wait->tx-pending")
+                        trace.append(f"{now + aifs} c{cid} tx-pending->transmitting")
+                    s.phase = _TRANSMITTING
+                    s.current_collided = False
+                    now = end
+                else:
+                    del active[pos]
+                s.sent += 1
+                if s.current_collided:
+                    s.collided += 1
+                    outcome = "collided"
+                elif loss > 0 and rng.random() < loss:
+                    s.ambient_lost += 1
+                    outcome = "ambient-lost"
+                else:
+                    s.received += 1
+                    if now > s.deadline:
+                        s.delivered_late += 1
+                    outcome = "received"
+                if trace is not None:
+                    trace.append(f"{now} c{cid} packet {s.packet_index} {outcome}")
+                s.packet_index += 1
+                nominal_end = s.scheduled_start + s.packet_index * (aifs + s.airtime)
+                s.delay_total_us += now - nominal_end
+                s.last_tx_end = now
+                s.packets_remaining -= 1
+                if not active and frozen:
+                    # idle edge: every frozen sender restarts its AIFS now,
+                    # and the earliest to count down to zero commits first
+                    idle_since = now
+                    least = cw
+                    for p in sorted(frozen):
+                        other = senders[p]
+                        if trace is not None:
+                            trace.append(
+                                f"{now} c{other.connection_id} "
+                                "backoff-wait-idle->backoff-aifs"
+                            )
+                        other.phase = _BACKOFF_AIFS
+                        other.timer_token += 1
+                        contending[p] = other
+                        if other.backoff_slots_remaining < least:
+                            least = other.backoff_slots_remaining
+                    frozen.clear()
+                    commit_at = now + aifs + least * slot
+                    for p, other in contending.items():
+                        if other.backoff_slots_remaining == least:
+                            push(heap, (commit_at, _PRIO_DECISION,
+                                        other.connection_id, p, _COMMIT,
+                                        other.timer_token))
+                        if trace is not None and other.backoff_slots_remaining:
+                            push(heap, (now + aifs, _PRIO_DECISION,
+                                        other.connection_id, p, _COUNTDOWN_MARK,
+                                        other.timer_token))
+                if s.packets_remaining == 0:
+                    if trace is not None:
+                        trace.append(f"{now} c{cid} transmitting->done")
+                    s.phase = _DONE
+                    break
+                if heap and heap[0][0] <= now:
+                    # another event at this instant may resolve first
+                    push(heap, (now, _PRIO_DECISION, cid, pos, _SENSE, 0))
+                    break
+                kind = _SENSE
     return activations
 
 
