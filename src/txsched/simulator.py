@@ -45,17 +45,15 @@ the senders waiting on it, in position order, so fresh backoffs are drawn
 from the shared RNG in input order and nothing scans all N senders.
 
 A packet that nothing can contend with costs no events at all. When a
-sender senses an idle channel with no sender waiting out an AIFS or
-counting down (the ``contending`` check matters: only the earliest
+sender senses an idle channel, no other sender is waiting out an AIFS or
+counting down, and no queued event falls before the packet's end at
+now + aifs + airtime, its AIFS, start and end run inline. The countdown
+check matters even when the heap test passes: only the earliest
 contenders have an event queued, and a later one must still see this
-packet's busy edge), and no queued event falls before the packet's end at
-now + aifs + airtime, the sense, AIFS, start and end are run inline. An
-event at exactly that end is safe, since an ending resolves before
-anything else at its instant. The same sender then senses again at once,
-inline while nothing else is queued at that instant. Trace lines, outcome
-accounting and the ambient-loss draw happen exactly where the queued
-events would have made them, so the RNG stream and every output byte are
-unchanged.
+packet's busy edge. An event at exactly the end may stay queued, since an
+ending resolves before anything else at its instant. Trace lines, outcome
+accounting and the ambient-loss draw happen where the queued events would
+have made them, so the RNG order and every output byte are unchanged.
 """
 
 from __future__ import annotations
@@ -255,17 +253,11 @@ def _run(
     here, and every trace line is guarded, so a run without a trace does
     no trace work.
 
-    Senses and packet ends share one block. A sense with ``active``,
-    ``waiting`` and ``contending`` empty and no queued event before
-    ``now + aifs + airtime`` runs its packet to the end without touching
-    the heap: nothing can happen in between, and at the end the packet's
-    own ending (priority 0) resolves before any other event at that
-    instant, so an event exactly there may stay queued. ``frozen`` is
-    empty whenever ``active`` is, so the inline end is never an idle edge.
-    After any end, the sender's next sense runs at once unless another
-    event is queued at the same instant, in which case it is queued as
-    before. The loss draw stays at the packet's end, so the RNG order is
-    the one the queued events give.
+    Senses and packet ends share one block, so a packet run inline (see
+    the module docstring) is accounted for by the same code as a queued
+    one. ``frozen`` is empty whenever ``active`` is, so an inline end is
+    never an idle edge. After any end the sender's next sense runs at
+    once, unless another event is queued at that instant.
     """
     rng = random.Random(seed)
     aifs = channel.aifs

@@ -1,7 +1,7 @@
 """The prefix-integral schedulers and the sweep cost equal the naive
 references in ``reference.py`` on schedule, cost and counter, and the
-simulator's arithmetic countdown equals the per-slot reference on report
-and trace."""
+simulator (arithmetic countdown, inline uncontended packets) equals the
+per-slot reference on report and trace."""
 
 import pytest
 import reference
