@@ -132,6 +132,7 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
     default_airtime = DEFAULT_AIRTIME
     sweep: WindowSweep | None = None
     seeds: list[int] = []
+    seen_seeds: set[int] = set()
     seen_ids: set[int] = set()
 
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -256,8 +257,9 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
                 _fail(source, lineno, "seeds needs at least one value")
             for token in args:
                 seed = _parse_int(source, lineno, "seed", token)
-                if seed in seeds:
+                if seed in seen_seeds:
                     _fail(source, lineno, f"seed {seed} listed twice")
+                seen_seeds.add(seed)
                 seeds.append(seed)
         else:
             _fail(source, lineno, f"unknown directive {directive!r}")

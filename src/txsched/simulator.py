@@ -34,15 +34,16 @@ are labels only: they break same-instant ties and name senders in traces
 and stats, so two requests may share one; position breaks the ties that
 remain.
 
-The countdown still means one decrement per idle slot, but it is computed
-once per idle period rather than stepped slot by slot. At an idle edge t
-each frozen sender with b slots left would commit at t + aifs + b *
-slot_time, and only the earliest of those commits becomes an event. At the
-next busy edge T every remaining contender keeps
-b - (T - t - aifs) // slot_time slots, a slot ending exactly at T counting
-because decisions resolve before starts. Each idle or busy edge visits only
-the senders waiting on it, in position order, so fresh backoffs are drawn
-from the shared RNG in input order and nothing scans all N senders.
+The countdown still means one decrement per idle slot, but no sender
+counts: the channel keeps one clock of idle slots counted, and a deferring
+sender stores the target clock + b. At an idle edge t the holders of the
+least target L commit at t + aifs + (L - clock) * slot_time. At the next
+busy edge T the clock advances by (T - t - aifs) // slot_time (a slot
+ending exactly at T counts, as decisions resolve before starts) and a
+channel epoch voids every pending commit. The live targets are dict keys
+with a heap beside them, not a ring of cw buckets, as cw has no upper
+bound. So an edge costs O(1) beyond its fresh draws (in position order,
+from the shared RNG) and its earliest commits.
 
 A packet that nothing can contend with costs no events at all. When a
 sender senses an idle channel, no other sender is waiting out an AIFS or
@@ -70,10 +71,10 @@ _PRIO_TX_END = 0
 _PRIO_DECISION = 1
 _PRIO_TX_START = 2
 
-# Event kinds. A commit is a timer: it carries the sender's timer token and
-# is dropped once the token has moved on. A countdown mark only prints the
-# "backoff-aifs->backoff-countdown" line where a contender's AIFS ends, and
-# is pushed only when a trace is kept.
+# Event kinds. A commit is a timer: it carries the channel epoch and is
+# dropped once a busy edge has moved the epoch on. A countdown mark only
+# prints the "backoff-aifs->backoff-countdown" line where a contender's
+# AIFS ends, and is pushed only when a trace is kept.
 _TX_END, _SENSE, _TX_START, _COMMIT, _COUNTDOWN_MARK = range(5)
 
 PHASES = (
@@ -134,13 +135,10 @@ class SenderState:
 
     ``phase`` indexes ``PHASES``; the three backoff-* phases refine the
     deferred state ("sensing" and "tx-pending" only ever persist within a
-    single instant). "backoff-countdown" differs from "backoff-aifs" only
-    in trace text, so without a trace a contender stays "backoff-aifs".
-    ``backoff_slots_remaining`` holds the frozen countdown across busy
-    periods; while a contender counts down it keeps the value it had at
-    the idle edge. ``timer_token`` invalidates stale commit events: every
-    commit scheduled or cancelled bumps it, and an expiry whose token no
-    longer matches is ignored.
+    single instant), and are told apart only with a trace: without one a
+    deferred sender stays "backoff-wait-idle". ``backoff_target`` is the
+    channel clock reading at which its countdown reaches zero, fixed from
+    the draw to the commit.
     """
 
     position: int
@@ -150,8 +148,7 @@ class SenderState:
     deadline: TimePoint
     packets_remaining: int
     phase: int = _IDLE_UNTIL_START
-    backoff_slots_remaining: int = 0
-    timer_token: int = 0
+    backoff_target: int = 0
     # per-packet bookkeeping
     packet_index: int = 0
     current_collided: bool = False
@@ -249,15 +246,15 @@ def _run(
     backoff activations.
 
     Heap entries are ``(time, priority, id, position, kind, token)``, all
-    ints; ``token`` is only read for timer kinds. The handlers are inlined
-    here, and every trace line is guarded, so a run without a trace does
-    no trace work.
+    ints; ``token`` is the channel epoch, read only for timer kinds. The
+    handlers are inlined here. Only a trace makes an edge visit every
+    sender (in position order, for its line and its phase).
 
     Senses and packet ends share one block, so a packet run inline (see
     the module docstring) is accounted for by the same code as a queued
-    one. ``frozen`` is empty whenever ``active`` is, so an inline end is
-    never an idle edge. After any end the sender's next sense runs at
-    once, unless another event is queued at that instant.
+    one. ``deferred`` is empty whenever a packet runs inline, so an inline
+    end is never an idle edge. After any end the sender's next sense runs
+    at once, unless another event is queued at that instant.
     """
     rng = random.Random(seed)
     aifs = channel.aifs
@@ -269,11 +266,22 @@ def _run(
 
     active: dict[int, SenderState] = {}  # on air, by position
     waiting: set[int] = set()  # aifs-wait
-    frozen: set[int] = set()  # backoff-wait-idle; empty while the channel is idle
-    # backoff-aifs/-countdown since the idle edge at idle_since; empty while busy
-    contending: dict[int, SenderState] = {}
+    # backoff target -> holders: the contenders while idle, the frozen while busy
+    deferred: dict[int, set[int]] = {}
+    targets: list[int] = []  # min-heap of deferred's keys
+    clock = 0  # idle slots counted down by every deferred sender
+    epoch = 0  # bumped at every busy edge; voids older commits
     idle_since = 0
     activations = 0
+
+    def defer(p: int) -> None:
+        # draw a fresh backoff for sender p and file it under its target
+        senders[p].phase = _BACKOFF_WAIT_IDLE
+        senders[p].backoff_target = target = clock + rng.randrange(cw)
+        if target not in deferred:
+            deferred[target] = set()
+            push(targets, target)
+        deferred[target].add(p)
 
     heap = [
         (s.scheduled_start, _PRIO_DECISION, s.connection_id, s.position, _SENSE, 0)
@@ -284,14 +292,18 @@ def _run(
         now, _prio, cid, pos, kind, token = pop(heap)
         s = senders[pos]
         if kind == _COMMIT:
-            if token != s.timer_token:
+            if token != epoch:
                 continue  # cancelled by a busy edge
             if trace is not None:
                 trace.append(f"{now} c{cid} {PHASES[s.phase]}->tx-pending")
             if s.phase == _AIFS_WAIT:
                 waiting.remove(pos)
             else:
-                del contending[pos]
+                holders = deferred[s.backoff_target]
+                holders.remove(pos)
+                if not holders:  # the least target, on top since its idle edge
+                    del deferred[s.backoff_target]
+                    pop(targets)
             s.phase = _TX_PENDING
             push(heap, (now, _PRIO_TX_START, cid, pos, _TX_START, 0))
 
@@ -309,31 +321,28 @@ def _run(
                 continue
             s.current_collided = False
             active[pos] = s
-            if not (waiting or contending):
+            if not (waiting or deferred):
                 continue
-            # busy edge: interrupt everyone mid-decision, in input order
-            elapsed = (now - idle_since - aifs) // slot
-            members = sorted(waiting.union(contending))
-            for p in members:
-                other = senders[p]
-                other.timer_token += 1
-                if other.phase == _AIFS_WAIT:
-                    other.backoff_slots_remaining = rng.randrange(cw)
-                    activations += 1
-                else:
-                    other.backoff_slots_remaining -= elapsed
-                if trace is not None:
-                    trace.append(
-                        f"{now} c{other.connection_id} "
-                        f"{PHASES[other.phase]}->backoff-wait-idle"
-                    )
-                other.phase = _BACKOFF_WAIT_IDLE
-            frozen.update(members)
-            waiting.clear()
-            contending.clear()
+            # busy edge: void every commit and freeze every countdown at once
+            epoch += 1
+            if deferred:
+                clock += (now - idle_since - aifs) // slot
+            if trace is not None:
+                for other in senders:
+                    if other.phase in (_AIFS_WAIT, _BACKOFF_AIFS, _BACKOFF_COUNTDOWN):
+                        trace.append(
+                            f"{now} c{other.connection_id} "
+                            f"{PHASES[other.phase]}->backoff-wait-idle"
+                        )
+                        other.phase = _BACKOFF_WAIT_IDLE
+            if waiting:
+                for p in sorted(waiting):  # fresh draws in input order
+                    defer(p)
+                activations += len(waiting)
+                waiting.clear()
 
         elif kind == _COUNTDOWN_MARK:  # only with a trace
-            if token == s.timer_token:
+            if token == epoch:
                 trace.append(f"{now} c{cid} backoff-aifs->backoff-countdown")
                 s.phase = _BACKOFF_COUNTDOWN
 
@@ -346,21 +355,18 @@ def _run(
                         trace.append(f"{now} c{cid} {PHASES[s.phase]}->sensing")
                     if active:
                         # first contention for this packet: draw the backoff
-                        s.backoff_slots_remaining = rng.randrange(cw)
+                        defer(pos)
                         activations += 1
                         if trace is not None:
                             trace.append(f"{now} c{cid} sensing->backoff-wait-idle")
-                        s.phase = _BACKOFF_WAIT_IDLE
-                        frozen.add(pos)
                         break
                     if trace is not None:
                         trace.append(f"{now} c{cid} sensing->aifs-wait")
                     end = now + aifs + s.airtime
-                    if waiting or contending or (heap and heap[0][0] < end):
+                    if waiting or deferred or (heap and heap[0][0] < end):
                         s.phase = _AIFS_WAIT
-                        s.timer_token += 1
                         push(heap, (now + aifs, _PRIO_DECISION, cid, pos, _COMMIT,
-                                    s.timer_token))
+                                    epoch))
                         waiting.add(pos)
                         break
                     # uncontended: no other event comes before this packet's
@@ -392,34 +398,28 @@ def _run(
                 s.delay_total_us += now - nominal_end
                 s.last_tx_end = now
                 s.packets_remaining -= 1
-                if not active and frozen:
-                    # idle edge: every frozen sender restarts its AIFS now,
-                    # and the earliest to count down to zero commits first
+                if not active and deferred:
+                    # idle edge: every deferred sender restarts its AIFS now,
+                    # and the holders of the least target commit first
                     idle_since = now
-                    least = cw
-                    for p in sorted(frozen):
-                        other = senders[p]
-                        if trace is not None:
+                    least = targets[0]
+                    commit_at = now + aifs + (least - clock) * slot
+                    for p in deferred[least]:
+                        push(heap, (commit_at, _PRIO_DECISION,
+                                    senders[p].connection_id, p, _COMMIT, epoch))
+                    if trace is not None:
+                        for other in senders:
+                            if other.phase != _BACKOFF_WAIT_IDLE:
+                                continue
                             trace.append(
                                 f"{now} c{other.connection_id} "
                                 "backoff-wait-idle->backoff-aifs"
                             )
-                        other.phase = _BACKOFF_AIFS
-                        other.timer_token += 1
-                        contending[p] = other
-                        if other.backoff_slots_remaining < least:
-                            least = other.backoff_slots_remaining
-                    frozen.clear()
-                    commit_at = now + aifs + least * slot
-                    for p, other in contending.items():
-                        if other.backoff_slots_remaining == least:
-                            push(heap, (commit_at, _PRIO_DECISION,
-                                        other.connection_id, p, _COMMIT,
-                                        other.timer_token))
-                        if trace is not None and other.backoff_slots_remaining:
-                            push(heap, (now + aifs, _PRIO_DECISION,
-                                        other.connection_id, p, _COUNTDOWN_MARK,
-                                        other.timer_token))
+                            other.phase = _BACKOFF_AIFS
+                            if other.backoff_target != clock:
+                                push(heap, (now + aifs, _PRIO_DECISION,
+                                            other.connection_id, other.position,
+                                            _COUNTDOWN_MARK, epoch))
                 if s.packets_remaining == 0:
                     if trace is not None:
                         trace.append(f"{now} c{cid} transmitting->done")

@@ -1,12 +1,13 @@
 """The prefix-integral schedulers and the sweep cost equal the naive
 references in ``reference.py`` on schedule, cost and counter, and the
-simulator (arithmetic countdown, inline uncontended packets) equals the
+simulator (shared countdown clock, inline uncontended packets) equals the
 per-slot reference on report and trace."""
 
 import pytest
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import channel_runs
 
 from txsched import (
     ChannelConfig,
@@ -67,40 +68,6 @@ def test_total_cost_equals_reference(spans):
     assert total_cost(schedule, requests) == reference.total_cost(schedule, requests)
 
 
-@st.composite
-def channel_runs(draw, max_n=6, max_start_slot=12, max_packets=4):
-    """Senders and a channel built for ties: starts on the slot grid,
-    airtimes in whole slots and AIFS often a slot multiple, so idle and
-    busy edges, AIFS ends and slot ends keep landing on one instant. Half
-    the examples repeat connection ids; the others shuffle distinct ids so
-    that id order differs from position order. Starts spread over many
-    slots with long trains leave runs of uncontended packets between the
-    contended ones."""
-    slot = draw(st.integers(1, 4))
-    aifs = draw(st.sampled_from((0, slot, 2 * slot, draw(st.integers(0, 9)))))
-    cw = draw(st.integers(1, 6))
-    loss = draw(st.sampled_from((0.0, 0.3)))
-    n = draw(st.integers(1, max_n))
-    if draw(st.booleans()):
-        ids = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    else:
-        ids = draw(st.permutations(range(n)))
-    requests = [
-        TransmissionRequest(
-            ids[i],
-            draw(st.integers(0, 60)),
-            draw(st.integers(1, max_packets)),
-            slot * draw(st.integers(1, 4)),
-        )
-        for i in range(n)
-    ]
-    starts = tuple(slot * draw(st.integers(0, max_start_slot)) for _ in range(n))
-    channel = ChannelConfig(
-        slot_time=slot, aifs=aifs, cw=cw, ambient_loss_rate=loss
-    )
-    return requests, Schedule(starts), channel, draw(st.integers(0, 2**16))
-
-
 def assert_simulate_equals_reference(requests, schedule, channel, seed):
     """Equal report and trace lines, and an untraced run equal too;
     return the trace."""
@@ -125,6 +92,15 @@ def test_simulate_equals_reference(run):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(channel_runs(max_start_slot=100, max_packets=8))
 def test_sparse_simulate_equals_reference(run):
+    assert_simulate_equals_reference(*run)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(channel_runs(max_n=12, max_start_slot=3, max_cw=3))
+def test_piled_up_simulate_equals_reference(run):
+    # many senders starting within a few slots, with at most three backoff
+    # values: deferrals pile up over several busy periods, many senders
+    # share one target, and busy edges land exactly on slot ends
     assert_simulate_equals_reference(*run)
 
 
@@ -183,6 +159,22 @@ def test_idle_sense_with_pending_contender_equals_reference():
     )
     assert "81 c0 sensing->aifs-wait" in trace
     assert "139 c1 backoff-countdown->backoff-wait-idle" in trace
+
+
+def test_shared_zero_target_commits_together():
+    # c0's packet is on air from 58 to 81; c1..c6 sense it busy and, with
+    # cw 1, all draw 0 and share one target. At the idle edge (81) all six
+    # commit at 81 + 58 = 139 and collide.
+    requests = [TransmissionRequest(i, 10_000, 1, 23) for i in range(7)]
+    starts = (0, 60, 62, 64, 66, 68, 70)
+    trace = assert_simulate_equals_reference(
+        requests, Schedule(starts), ChannelConfig(cw=1), 4
+    )
+    commits = [line for line in trace if line.endswith("->tx-pending")]
+    assert commits[1:] == [f"139 c{i} backoff-aifs->tx-pending" for i in range(1, 7)]
+    report = simulate(requests, Schedule(starts), ChannelConfig(cw=1), 4)
+    assert [c.collided for c in report.per_connection] == [0] + [1] * 6
+    assert report.backoff_activations == 6
 
 
 def test_exhaustive_one_point_grids_do_not_recurse():

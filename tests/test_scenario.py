@@ -173,6 +173,11 @@ class TestErrors:
     def test_duplicate_seed(self):
         self.expect("format txsched/1\nseeds 5 5\n", "seed 5 listed twice", line=2)
 
+    def test_duplicate_seed_across_lines(self):
+        self.expect(
+            "format txsched/1\nseeds 5 6\nseeds 7 5\n", "seed 5 listed twice", line=3
+        )
+
     def test_scheduler_without_step(self):
         self.expect("format txsched/1\nscheduler margin 0us\n", "missing 'step'", line=2)
 

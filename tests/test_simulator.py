@@ -1,6 +1,10 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import channel_runs
 
 from txsched import (
     ChannelConfig,
@@ -210,6 +214,58 @@ class TestConservationAndDeterminism:
             report = simulate(reqs, schedule, channel, seed)
             if len(reqs) == 1:
                 assert report.backoff_activations == 0
+
+
+# every channel_runs shape: tie-heavy, sparse, and piled-up deferrals
+ANY_CHANNEL_RUN = st.one_of(
+    channel_runs(),
+    channel_runs(max_start_slot=100, max_packets=8),
+    channel_runs(max_n=12, max_start_slot=3, max_cw=3),
+)
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(ANY_CHANNEL_RUN)
+    def test_packets_conserved(self, run):
+        requests, schedule, channel, seed = run
+        report = simulate(requests, schedule, channel, seed)
+        for c in report.per_connection:
+            assert c.sent == c.received + c.collided + c.ambient_lost
+        assert report.total_sent == sum(r.packet_count for r in requests)
+
+    @PROPERTY
+    @given(ANY_CHANNEL_RUN)
+    def test_at_most_one_backoff_per_packet(self, run):
+        report = simulate(*run)
+        assert report.backoff_activations <= report.total_sent
+
+    @PROPERTY
+    @given(ANY_CHANNEL_RUN)
+    def test_same_inputs_same_report_and_trace(self, run):
+        first, second = [], []
+        assert simulate(*run, trace=first) == simulate(*run, trace=second)
+        assert first == second
+
+
+class TestResourceBound:
+    def test_huge_cw_allocates_nothing_by_cw(self):
+        # a table sized by cw would take gigabytes here; never run this
+        # against reference.simulate, which steps up to 10**9 slots
+        reqs = train(10, packets=20)
+        schedule = Schedule(tuple(range(0, 100, 10)))
+        tracemalloc.start()
+        try:
+            report = simulate(reqs, schedule, ChannelConfig(cw=10**9), seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.total_sent == 200
+        for c in report.per_connection:
+            assert c.sent == c.received + c.collided + c.ambient_lost == 20
+        assert report.backoff_activations > 0
+        assert peak < 1 << 20
 
 
 class TestAmbientLoss:
