@@ -19,9 +19,14 @@ Candidates are scored through a prefix integral. Let k(x) be the number
 of placed half-open intervals covering instant x and C(t) the integral
 of k from 0 to t. A candidate [s, s + d) overlaps the placed intervals
 for C(s + d) - C(s) in total, and once the placed breakpoints are sorted
-each C(t) is one bisection plus integer arithmetic. A connection with G
-candidates against N placed intervals thus costs O(G log N + N log N)
-rather than N * G pairwise overlaps.
+each C(t) is one bisection plus integer arithmetic. The score is
+piecewise linear in s, so the first least-overlap start is one of at most
+4N + 2 grid points next to its breakpoints (see ``_least_overlap``). A
+connection placed against N intervals thus costs O(N log N) whatever its
+grid size G, rather than N * G pairwise overlaps, and tsgs costs
+O(N^2 log N) in all. The exhaustive walk scores whole grids on its inner
+levels but skips every subtree whose partial overlap already reaches the
+best cost found.
 
 All strategies report an operation counter with the paper's meaning, in
 closed form, not the work the fast path does: pairwise-overlap
@@ -32,8 +37,10 @@ random draws.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .core import (
@@ -116,9 +123,9 @@ def _processing_order(
 _Spans = list[tuple[TimePoint, TimePoint]]
 
 
-def _overlaps(grid: range, duration: TimeSpan, spans: _Spans):
+def _overlaps(starts: Iterable[TimePoint], duration: TimeSpan, spans: _Spans):
     """Yield each candidate [s, s + duration)'s summed overlap with the
-    half-open spans [a, b), for s in grid order.
+    half-open spans [a, b), for s in starts, in order.
 
     The coverage integral is C(t) = base + slope * t between consecutive
     breakpoints; a breakpoint adds +1 to the slope (and -a to the base)
@@ -136,7 +143,7 @@ def _overlaps(grid: range, duration: TimeSpan, spans: _Spans):
         slope += steps[x]
         bases.append(base)
         slopes.append(slope)
-    for s in grid:
+    for s in starts:
         j = bisect_right(points, s) - 1
         e = s + duration
         i = bisect_right(points, e, j) - 1
@@ -148,10 +155,28 @@ def _least_overlap(
 ) -> tuple[TimePoint, TimeSpan]:
     """The first start in grid with the least overlap, and that overlap.
 
-    Streams the grid; a zero score cannot be beaten, so it ends the scan.
+    The score f(s) = C(s + d) - C(s) is continuous and piecewise linear,
+    and its slope k(s + d) - k(s) rises only where a span ends at s
+    (s = b) or begins at s + d (s = a - d). If the first least grid point
+    g lies inside the grid, f falls from g - step to g and does not fall
+    from g to g + step, so such a rise lies strictly between them: g is
+    the grid point on one side of some b or a - d. Only the grid's two
+    ends and those neighbours, at most 4 * len(spans) + 2 starts, are
+    scored, in grid order; a grid no longer than that is scored whole.
+    A zero score cannot be beaten, so it ends the scan.
     """
+    starts = grid
+    if len(grid) > 4 * len(spans) + 2:
+        step = grid.step
+        candidates = {0, grid[-1]}
+        for a, b in spans:
+            for rise in (b, a - duration):
+                below = rise - rise % step
+                candidates.add(below)
+                candidates.add(below + step)
+        starts = sorted(s for s in candidates if s in grid)
     best_start = best = None
-    for start, score in zip(grid, _overlaps(grid, duration, spans)):
+    for start, score in zip(starts, _overlaps(starts, duration, spans)):
         if best is None or score < best:
             best_start, best = start, score
             if score == 0:
@@ -198,9 +223,13 @@ def exhaustive_schedule(
     Ties break toward the lexicographically smallest start tuple. The
     walk is depth-first in lexicographic order: entering a level scores
     its grid against the starts fixed above it, the last level takes its
-    first minimum, and only strict improvements replace the best. The
-    counter is exactly the product of grid sizes (1 for no connections,
-    whose minimum is the empty schedule).
+    first minimum (as tsgs does), and only strict improvements replace
+    the best. It is a branch and bound: a partial sum never falls with
+    depth, so a choice whose partial sum already reaches the best cost is
+    neither descended into nor, at the last level, scored. Saturated
+    instances can still leave most prefixes of the first N - 1 levels to
+    visit. The counter stays exactly the product of grid sizes (1 for no
+    connections, whose minimum is the empty schedule).
 
     Raises:
         InstanceTooLargeError: the product of grid sizes exceeds
@@ -218,32 +247,32 @@ def exhaustive_schedule(
     durations = [compute_duration(req) for req in requests]
     last = len(requests) - 1
     best_starts: list[TimePoint] = []
-    best_cost = None
+    best_cost = math.inf
     spans: _Spans = []  # [start, end) of the levels fixed so far
     sums = [0]  # sums[j]: overlap among the first j spans, each pair once
-    pending = []  # per fixed level: its choices not yet visited
+    pending = []  # per entered level: its choices not yet visited
     while last >= 0:
-        while len(spans) < last:
+        if len(spans) < last:
             level = len(spans)
             scores = list(_overlaps(grids[level], durations[level], spans))
-            choices = zip(grids[level], scores)
-            pending.append(choices)
-            start, score = next(choices)
-            spans.append((start, start + durations[level]))
-            sums.append(sums[-1] + score)
-        start, score = _least_overlap(grids[last], durations[last], spans)
-        if best_cost is None or sums[-1] + score < best_cost:
-            best_cost = sums[-1] + score
-            best_starts = [a for a, _ in spans] + [start]
-        # advance the deepest level with choices left; stop when none has
+            pending.append(zip(grids[level], scores))
+        else:
+            start, score = _least_overlap(grids[last], durations[last], spans)
+            if sums[-1] + score < best_cost:
+                best_cost = sums[-1] + score
+                best_starts = [a for a, _ in spans] + [start]
+        # fix the next choice whose partial sum stays below the best, at the
+        # deepest level that has one; stop when no level has
         while pending:
-            spans.pop()
-            sums.pop()
-            choice = next(pending[-1], None)
+            if len(spans) == len(pending):
+                spans.pop()
+                sums.pop()
+            prefix = sums[-1]
+            choice = next((c for c in pending[-1] if prefix + c[1] < best_cost), None)
             if choice is not None:
                 start, score = choice
                 spans.append((start, start + durations[len(spans)]))
-                sums.append(sums[-1] + score)
+                sums.append(prefix + score)
                 break
             pending.pop()
         else:

@@ -152,13 +152,20 @@ class TestResolution:
             resolve_scenario("does-not-exist")
 
     def test_module_entry_point(self):
+        import os
         import subprocess
         import sys
 
+        import txsched
+
+        # the child imports the package this test imports, installed or not
+        src = os.path.dirname(os.path.dirname(txsched.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "txsched", "validate", "table2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")

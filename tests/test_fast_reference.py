@@ -3,6 +3,9 @@ references in ``reference.py`` on schedule, cost and counter, and the
 simulator (shared countdown clock, inline uncontended packets) equals the
 per-slot reference on report and trace."""
 
+import itertools
+from collections import Counter
+
 import pytest
 import reference
 from hypothesis import given, settings
@@ -14,7 +17,10 @@ from txsched import (
     Schedule,
     SchedulerConfig,
     TransmissionRequest,
+    candidate_grid,
+    compute_duration,
     exhaustive_schedule,
+    schedulers,
     simulate,
     total_cost,
     tsgs_schedule,
@@ -56,6 +62,151 @@ def test_exhaustive_equals_reference(instance):
     requests, config = instance
     expected = reference.exhaustive(requests, config)
     assert exhaustive_schedule(requests, config) == expected
+
+
+@st.composite
+def large_grid_instances(draw, max_n=6, max_sigma=300):
+    """Grids of 26 to 301 points, far more than the 4 * placed + 2 starts
+    next to breakpoints that tsgs scores. Steps run from shorter than
+    every train to longer than some (many breakpoints in one grid
+    segment), and trains from one microsecond to longer than the window,
+    so instances run from sparse (zero-score ties) to saturated."""
+    n = draw(st.integers(1, max_n))
+    step = draw(st.integers(1, 40))
+    sigma = draw(st.integers(50, max_sigma))
+    margin = draw(st.sampled_from((0, step // 2 + 1)))
+    ordering = draw(st.sampled_from(("input-order", "deadline-ascending")))
+    requests = []
+    for i in range(n):
+        packets = draw(st.integers(1, 3))
+        airtime = draw(
+            st.one_of(st.integers(1, step), st.integers(1, sigma * step // packets))
+        )
+        overhead = draw(st.integers(0, step // 4))
+        window = draw(st.integers(sigma * step // 2, sigma * step + step - 1))
+        deadline = packets * (airtime + overhead) + margin + window
+        requests.append(TransmissionRequest(i, deadline, packets, airtime, overhead))
+    return requests, SchedulerConfig(step=step, margin=margin, ordering=ordering)
+
+
+def tsgs_reach(requests, config, starts):
+    """The hard cases a tsgs instance holds, found by scoring every grid
+    point naively against the placements ``starts``."""
+    reached = set()
+    durations = [compute_duration(req) for req in requests]
+    if config.step > min(durations):
+        reached.add("step longer than a train")
+    if all(d % config.step for d in durations):
+        reached.add("step divides no train")
+    order = list(range(len(requests)))
+    if config.ordering == "deadline-ascending":
+        order.sort(key=lambda i: requests[i].deadline)
+    placed = []
+    for i in order:
+        grid = candidate_grid(requests[i], config)
+        d = durations[i]
+        if placed and len(grid) > 4 * len(placed) + 2:
+            # where the score's slope changes: a span begins or ends at s or s + d
+            kinks = [
+                q
+                for p in placed
+                for q in (p.start, p.end, p.start - d, p.end - d)
+                if 0 < q < grid[-1] and q % config.step
+            ]
+            if max(Counter(q // config.step for q in kinks).values(), default=0) >= 3:
+                reached.add("three breakpoints inside one grid segment")
+            scores = [
+                sum(reference.overlap(reference.Interval(s, d), p) for p in placed)
+                for s in grid
+            ]
+            if scores.count(min(scores)) > 1:
+                reached.add("zero-score tie" if min(scores) == 0 else "positive tie")
+        placed.append(reference.Interval(starts[i], d))
+    return reached
+
+
+def test_tsgs_large_grids_equal_reference():
+    reached = set()
+
+    @PROPERTY
+    @given(large_grid_instances())
+    def check(instance):
+        requests, config = instance
+        expected = reference.tsgs(requests, config)
+        assert tsgs_schedule(requests, config) == expected
+        reached.update(tsgs_reach(requests, config, expected.schedule.starts))
+
+    check()
+    assert reached == {
+        "step longer than a train",
+        "step divides no train",
+        "three breakpoints inside one grid segment",
+        "zero-score tie",
+        "positive tie",
+    }
+
+
+@st.composite
+def saturated_instances(draw, max_n=4, max_sigma=5):
+    """Three or four trains of one to five steps in windows of three to
+    six steps, on grids of four to six points: assignments overlap
+    heavily, so the walk prunes at every level, and one or two shared
+    train lengths make several assignments tie for the minimum."""
+    n = draw(st.integers(3, max_n))
+    step = draw(st.integers(1, 20))
+    lengths = draw(st.lists(st.integers(step, 5 * step), min_size=1, max_size=2))
+    requests = []
+    for i in range(n):
+        window = draw(st.integers(3 * step, max_sigma * step + step - 1))
+        length = draw(st.sampled_from(lengths))
+        requests.append(TransmissionRequest(i, length + window, 1, length))
+    return requests, SchedulerConfig(step=step)
+
+
+def test_saturated_exhaustive_equals_reference(monkeypatch):
+    # _overlaps is called once per entered level (the last level through
+    # _least_overlap), with the spans fixed above it
+    entered = []
+    overlaps = schedulers._overlaps
+
+    def counted(starts, duration, spans):
+        entered.append(len(spans))
+        return overlaps(starts, duration, spans)
+
+    monkeypatch.setattr(schedulers, "_overlaps", counted)
+    reached = set()
+
+    @PROPERTY
+    @given(saturated_instances())
+    def check(instance):
+        requests, config = instance
+        expected = reference.exhaustive(requests, config)
+        entered.clear()
+        assert exhaustive_schedule(requests, config) == expected
+        if expected.cost == 0:
+            return
+        grids = [candidate_grid(req, config) for req in requests]
+        costs = [
+            total_cost(Schedule(starts), requests)
+            for starts in itertools.product(*grids)
+        ]
+        if costs.count(expected.cost) > 1:
+            reached.add("tied minima")
+        # a level is cut when fewer of its choices are entered than it
+        # has; level 0 scores 0 everywhere, so only a zero best cuts it
+        entries = Counter(entered)
+        if all(
+            entries[level + 1] < entries[level] * len(grids[level])
+            for level in range(1, len(grids) - 1)
+        ):
+            reached.add(f"{len(grids)} levels, cut below the first")
+
+    check()
+    assert reached == {
+        "tied minima",
+        "3 levels, cut below the first",
+        "4 levels, cut below the first",
+    }
 
 
 @PROPERTY
@@ -175,6 +326,31 @@ def test_shared_zero_target_commits_together():
     report = simulate(requests, Schedule(starts), ChannelConfig(cw=1), 4)
     assert [c.collided for c in report.per_connection] == [0] + [1] * 6
     assert report.backoff_activations == 6
+
+
+# requests on a 10 us step, and the lexicographically first optimum
+EXHAUSTIVE_CASES = {
+    # saturated, N=4 and G=16: 1500 us trains in 150 us windows overlap
+    # pairwise whatever the starts, and six assignments tie at the minimum
+    "saturated": (
+        [TransmissionRequest(i, 1650, 1, 1500) for i in range(4)],
+        (0, 0, 150, 150),
+    ),
+    # 1,680 of the 14,641 assignments have no overlap at all
+    "many-zero-optima": (
+        [TransmissionRequest(i, 115, 1, 15) for i in range(4)],
+        (0, 20, 40, 60),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE_CASES))
+def test_exhaustive_cases_equal_reference(name):
+    requests, starts = EXHAUSTIVE_CASES[name]
+    config = SchedulerConfig(step=10)
+    expected = reference.exhaustive(requests, config)
+    assert expected.schedule.starts == starts
+    assert exhaustive_schedule(requests, config) == expected
 
 
 def test_exhaustive_one_point_grids_do_not_recurse():

@@ -13,6 +13,7 @@ from txsched import (
     exhaustive_schedule,
     feasible,
     random_schedule,
+    schedulers,
     total_cost,
     tsgs_schedule,
     window,
@@ -126,6 +127,32 @@ class TestTsgs:
     def test_deterministic(self):
         requests, config = random_instance(random.Random(8))
         assert tsgs_schedule(requests, config) == tsgs_schedule(requests, config)
+
+    def test_work_bounded_by_breakpoints_not_grid(self, monkeypatch):
+        # trains longer than their windows of about 100 ms overlap pairwise
+        # whatever the starts, on grids of over 10**5 points each
+        rs = [
+            req(100_000 + 37 * i + length, length, id=i)
+            for i, length in enumerate(range(100_000, 112_000, 1_000))
+        ]
+        config = SchedulerConfig(step=1)
+        scored = []
+        overlaps = schedulers._overlaps
+
+        def counted(starts, duration, spans):
+            starts = list(starts)
+            scored.append((len(starts), len(spans)))
+            return overlaps(starts, duration, spans)
+
+        monkeypatch.setattr(schedulers, "_overlaps", counted)
+        result = tsgs_schedule(rs, config)
+        grids = [len(candidate_grid(r, config)) for r in rs]
+        assert min(grids) > 10**5
+        assert [placed for _, placed in scored] == list(range(len(rs)))
+        assert all(count <= 4 * placed + 2 for count, placed in scored)
+        assert feasible(result.schedule, rs)
+        assert result.cost == total_cost(result.schedule, rs) > 0
+        assert result.candidate_evaluations == sum(g * i for i, g in enumerate(grids))
 
     def test_deadline_ascending_order_can_beat_input_order(self):
         # long duration first is a greedy trap: placed at 0 it leaves the
