@@ -57,9 +57,6 @@ class Schedule:
 
     starts: tuple[TimePoint, ...]
 
-    def __len__(self) -> int:
-        return len(self.starts)
-
 
 def compute_duration(request: TransmissionRequest) -> TimeSpan:
     """Nominal duration of the packet train: count * (airtime + overhead).

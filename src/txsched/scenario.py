@@ -17,8 +17,8 @@ Directives::
     sweep start <T>us stop <T>us step <T>us
     seeds <N> [<N> ...]                     # repeatable, appends
 
-``connection`` lines may omit ``airtime``; the channel line's airtime is
-used, or ``DEFAULT_AIRTIME`` without one.
+Keys come in any order, each at most once. ``connection`` lines may omit
+``airtime``; the channel line's airtime is used, or ``DEFAULT_AIRTIME``.
 ``channel`` and ``sweep`` are optional; everything else is required.
 Errors carry ``path:line:`` prefixes pointing at the offending directive.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import InadmissibleRequestError, TimeSpan, TransmissionRequest, window
-from .schedulers import ORDERINGS, SchedulerConfig
+from .schedulers import SchedulerConfig
 from .simulator import ChannelConfig
 
 FORMAT_TAG = "txsched/1"
@@ -85,9 +85,10 @@ def _fail(source: str, lineno: int, message: str) -> None:
 
 def _is_integer(text: str) -> bool:
     # an optional '-' and ASCII digits; int() alone would also take
-    # '1_000', '+5' and non-ASCII digits such as '٣'
+    # '1_000', '+5' and non-ASCII digits such as '٣', and raise past its
+    # digit limit, which is never below 640
     digits = text[1:] if text.startswith("-") else text
-    return digits.isascii() and digits.isdigit()
+    return digits.isascii() and digits.isdigit() and len(digits) <= 640
 
 
 def _parse_us(source: str, lineno: int, field: str, token: str) -> int:
@@ -112,25 +113,74 @@ def _parse_float(source: str, lineno: int, field: str, token: str) -> float:
     return float(token)
 
 
-def _pairs(source: str, lineno: int, directive: str, args: list[str]):
+def _keep(source: str, lineno: int, field: str, token: str) -> str:
+    return token
+
+
+# key/value directive -> ({key: token parser}, required keys)
+_KEYS = {
+    "connection": ({"deadline": _parse_us, "packets": _parse_int,
+                    "airtime": _parse_us, "overhead": _parse_us},
+                   ("deadline", "packets")),
+    "scheduler": ({"step": _parse_us, "margin": _parse_us, "ordering": _keep},
+                  ("step",)),
+    "channel": ({"slot_time": _parse_us, "aifs": _parse_us, "cw": _parse_int,
+                 "airtime": _parse_us, "ambient_loss": _parse_float}, ()),
+    "sweep": ({"start": _parse_us, "stop": _parse_us, "step": _parse_us},
+              ("start", "stop", "step")),
+}
+
+
+def _fields(source: str, lineno: int, directive: str, args: list[str], name: str):
+    """Parse `args` as `directive`'s key/value pairs; `name` is what a
+    missing key is missing from."""
+    parsers, required = _KEYS[directive]
     if len(args) % 2 != 0:
         _fail(source, lineno, f"{directive} expects key/value pairs")
     keys = args[::2]
-    for index, key in enumerate(keys):
-        if key in keys[:index]:
+    seen: set[str] = set()
+    for key in keys:
+        if key in seen:
             _fail(source, lineno, f"{directive} repeats {key!r}")
-    return zip(keys, args[1::2])
+        seen.add(key)
+    fields = {}
+    for key, token in zip(keys, args[1::2]):
+        if key not in parsers:
+            _fail(source, lineno, f"unknown {directive} field {key!r}")
+        fields[key] = parsers[key](source, lineno, key, token)
+    for key in required:
+        if key not in fields:
+            _fail(source, lineno, f"{name} is missing {key!r}")
+    return fields
+
+
+def _build(source: str, lineno: int, what: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError reported as ``invalid <what>``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        _fail(source, lineno, f"invalid {what}: {exc}")
+
+
+def _channel(airtime: TimeSpan = DEFAULT_AIRTIME, **config) -> tuple[ChannelConfig, int]:
+    """The channel line's config and default airtime; no keys for no line."""
+    if airtime <= 0:
+        raise ValueError(f"airtime must be > 0, got {airtime}")
+    if "ambient_loss" in config:
+        config["ambient_loss_rate"] = config.pop("ambient_loss")
+    return ChannelConfig(**config), airtime
+
+
+# the directives given at most once, each to what builds its value
+_ONCE = {"scheduler": SchedulerConfig, "channel": _channel, "sweep": WindowSweep}
 
 
 def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
     """Parse scenario text; `source` names it in error messages."""
     format_seen = False
     connections: list[tuple[int, dict, int]] = []  # (id, fields, lineno)
-    config: SchedulerConfig | None = None
+    built: dict[str, object] = {}  # _ONCE directive -> its value
     scheduler_names: list[str] = []
-    channel: ChannelConfig | None = None
-    default_airtime = DEFAULT_AIRTIME
-    sweep: WindowSweep | None = None
     seeds: list[int] = []
     seen_seeds: set[int] = set()
     seen_ids: set[int] = set()
@@ -157,43 +207,15 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
             if conn_id in seen_ids:
                 _fail(source, lineno, f"duplicate connection id {conn_id}")
             seen_ids.add(conn_id)
-            fields: dict = {}
-            for key, value in _pairs(source, lineno, "connection", args[1:]):
-                if key in ("deadline", "airtime", "overhead"):
-                    fields[key] = _parse_us(source, lineno, key, value)
-                elif key == "packets":
-                    fields[key] = _parse_int(source, lineno, key, value)
-                else:
-                    _fail(source, lineno, f"unknown connection field {key!r}")
-            for required in ("deadline", "packets"):
-                if required not in fields:
-                    _fail(
-                        source, lineno,
-                        f"connection {conn_id} is missing {required!r}",
-                    )
+            name = f"connection {conn_id}"
+            fields = _fields(source, lineno, directive, args[1:], name)
             connections.append((conn_id, fields, lineno))
-        elif directive == "scheduler":
-            if config is not None:
-                _fail(source, lineno, "duplicate scheduler directive")
-            fields = {}
-            for key, value in _pairs(source, lineno, "scheduler", args):
-                if key in ("step", "margin"):
-                    fields[key] = _parse_us(source, lineno, key, value)
-                elif key == "ordering":
-                    if value not in ORDERINGS:
-                        _fail(
-                            source, lineno,
-                            f"ordering must be one of {ORDERINGS}, got {value!r}",
-                        )
-                    fields[key] = value
-                else:
-                    _fail(source, lineno, f"unknown scheduler field {key!r}")
-            if "step" not in fields:
-                _fail(source, lineno, "scheduler is missing 'step'")
-            try:
-                config = SchedulerConfig(**fields)
-            except ValueError as exc:
-                _fail(source, lineno, f"invalid scheduler: {exc}")
+        elif directive in _ONCE:
+            if directive in built:
+                _fail(source, lineno, f"duplicate {directive} directive")
+            fields = _fields(source, lineno, directive, args, directive)
+            make = _ONCE[directive]
+            built[directive] = _build(source, lineno, directive, make, **fields)
         elif directive == "schedulers":
             if scheduler_names:
                 _fail(source, lineno, "duplicate schedulers directive")
@@ -209,49 +231,6 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
                 if name in scheduler_names:
                     _fail(source, lineno, f"scheduler {name!r} listed twice")
                 scheduler_names.append(name)
-        elif directive == "channel":
-            if channel is not None:
-                _fail(source, lineno, "duplicate channel directive")
-            fields = {}
-            for key, value in _pairs(source, lineno, "channel", args):
-                if key in ("slot_time", "aifs"):
-                    fields[key] = _parse_us(source, lineno, key, value)
-                elif key == "airtime":
-                    default_airtime = _parse_us(source, lineno, key, value)
-                    if default_airtime <= 0:
-                        _fail(
-                            source, lineno,
-                            f"invalid channel: airtime must be > 0, "
-                            f"got {default_airtime}",
-                        )
-                elif key == "cw":
-                    fields[key] = _parse_int(source, lineno, key, value)
-                elif key == "ambient_loss":
-                    fields["ambient_loss_rate"] = _parse_float(
-                        source, lineno, key, value
-                    )
-                else:
-                    _fail(source, lineno, f"unknown channel field {key!r}")
-            try:
-                channel = ChannelConfig(**fields)
-            except ValueError as exc:
-                _fail(source, lineno, f"invalid channel: {exc}")
-        elif directive == "sweep":
-            if sweep is not None:
-                _fail(source, lineno, "duplicate sweep directive")
-            fields = {}
-            for key, value in _pairs(source, lineno, "sweep", args):
-                if key in ("start", "stop", "step"):
-                    fields[key] = _parse_us(source, lineno, key, value)
-                else:
-                    _fail(source, lineno, f"unknown sweep field {key!r}")
-            for required in ("start", "stop", "step"):
-                if required not in fields:
-                    _fail(source, lineno, f"sweep is missing {required!r}")
-            try:
-                sweep = WindowSweep(**fields)
-            except ValueError as exc:
-                _fail(source, lineno, f"invalid sweep: {exc}")
         elif directive == "seeds":
             if not args:
                 _fail(source, lineno, "seeds needs at least one value")
@@ -268,28 +247,28 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
         _fail(source, 1, f"missing 'format {FORMAT_TAG}' directive")
     if not connections:
         _fail(source, 1, "scenario defines no connections")
-    if config is None:
+    if "scheduler" not in built:
         _fail(source, 1, "scenario is missing the scheduler directive")
     if not scheduler_names:
         _fail(source, 1, "scenario is missing the schedulers directive")
     if not seeds:
         _fail(source, 1, "scenario defines no seeds")
-    if channel is None:
-        channel = ChannelConfig()
+    config = built["scheduler"]
+    channel, default_airtime = built.get("channel") or _channel()
 
     requests = []
     for conn_id, fields, lineno in connections:
-        try:
-            request = TransmissionRequest(
-                id=conn_id,
-                deadline=fields["deadline"],
-                packet_count=fields["packets"],
-                packet_airtime=fields.get("airtime", default_airtime),
-                per_packet_overhead=fields.get("overhead", 0),
-            )
-            window(request, config.margin)  # admissibility under this margin
-        except (InadmissibleRequestError, ValueError) as exc:
-            _fail(source, lineno, f"invalid connection {conn_id}: {exc}")
+        what = f"connection {conn_id}"
+        request = _build(
+            source, lineno, what, TransmissionRequest,
+            id=conn_id,
+            deadline=fields["deadline"],
+            packet_count=fields["packets"],
+            packet_airtime=fields.get("airtime", default_airtime),
+            per_packet_overhead=fields.get("overhead", 0),
+        )
+        # admissibility under this margin
+        _build(source, lineno, what, window, request, config.margin)
         requests.append(request)
 
     return ScenarioSpec(
@@ -298,7 +277,7 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
         scheduler_config=config,
         channel=channel,
         seeds=tuple(seeds),
-        sweep=sweep,
+        sweep=built.get("sweep"),
     )
 
 

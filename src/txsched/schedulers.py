@@ -55,7 +55,7 @@ from .core import (
 
 ORDERINGS = ("input-order", "deadline-ascending")
 
-DEFAULT_ENUMERATION_CAP = 10_000_000
+ENUMERATION_CAP = 10_000_000
 
 
 class InstanceTooLargeError(ValueError):
@@ -214,9 +214,7 @@ def tsgs_schedule(
 
 
 def exhaustive_schedule(
-    requests: list[TransmissionRequest],
-    config: SchedulerConfig,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+    requests: list[TransmissionRequest], config: SchedulerConfig
 ) -> ScheduleResult:
     """Enumerate every grid assignment and return a global cost minimum.
 
@@ -233,16 +231,16 @@ def exhaustive_schedule(
 
     Raises:
         InstanceTooLargeError: the product of grid sizes exceeds
-            ``enumeration_cap``.
+            ``ENUMERATION_CAP``.
     """
     grids = [candidate_grid(req, config) for req in requests]
     size = 1
     for grid in grids:
         size *= len(grid)
-    if size > enumeration_cap:
+    if size > ENUMERATION_CAP:
         raise InstanceTooLargeError(
             f"{size} grid assignments exceed the enumeration cap of "
-            f"{enumeration_cap}"
+            f"{ENUMERATION_CAP}"
         )
     durations = [compute_duration(req) for req in requests]
     last = len(requests) - 1

@@ -22,17 +22,16 @@ channel for its full airtime. Airtime intervals are half-open, so a packet
 starting exactly when another ends is clean.
 
 Determinism is absolute: the event queue is ordered by
-(time, priority, id, position), with transmission endings resolved before
+(time, priority, position), with transmission endings resolved before
 same-instant sense/timer decisions, and those before same-instant
 transmission starts. Senders whose access decisions land on the same
 instant therefore transmit together and collide, with no hidden jitter.
 Identical (requests, schedule, channel config, seed) reproduce
 byte-identical reports.
 
-A sender's identity is its position in the request list. Connection ids
-are labels only: they break same-instant ties and name senders in traces
-and stats, so two requests may share one; position breaks the ties that
-remain.
+A sender's identity is its position in the request list: it breaks
+same-instant ties, names the sender ``cN`` in traces and orders the
+report. Connection ids play no part, so two requests may share one.
 
 The countdown still means one decrement per idle slot, but no sender
 counts: the channel keeps one clock of idle slots counted, and a deferring
@@ -142,15 +141,12 @@ class SenderState:
     """
 
     position: int
-    connection_id: int
     scheduled_start: TimePoint
     airtime: TimeSpan
     deadline: TimePoint
     packets_remaining: int
     phase: int = _IDLE_UNTIL_START
     backoff_target: int = 0
-    # per-packet bookkeeping
-    packet_index: int = 0
     current_collided: bool = False
     # outcome counters
     sent: int = 0
@@ -176,7 +172,6 @@ class ConnectionStats:
     uncontended pace.
     """
 
-    connection_id: int
     sent: int
     received: int
     collided: int
@@ -192,7 +187,7 @@ class ConnectionStats:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Outcome of one simulation run."""
+    """Outcome of one simulation run; ``per_connection`` is in request order."""
 
     per_connection: tuple[ConnectionStats, ...]
     backoff_activations: int
@@ -245,7 +240,7 @@ def _run(
     """Advance every sender through its whole train; return the number of
     backoff activations.
 
-    Heap entries are ``(time, priority, id, position, kind, token)``, all
+    Heap entries are ``(time, priority, position, kind, token)``, all
     ints; ``token`` is the channel epoch, read only for timer kinds. The
     handlers are inlined here. Only a trace makes an edge visit every
     sender (in position order, for its line and its phase).
@@ -284,18 +279,17 @@ def _run(
         deferred[target].add(p)
 
     heap = [
-        (s.scheduled_start, _PRIO_DECISION, s.connection_id, s.position, _SENSE, 0)
-        for s in senders
+        (s.scheduled_start, _PRIO_DECISION, s.position, _SENSE, 0) for s in senders
     ]
     heapq.heapify(heap)
     while heap:
-        now, _prio, cid, pos, kind, token = pop(heap)
+        now, _prio, pos, kind, token = pop(heap)
         s = senders[pos]
         if kind == _COMMIT:
             if token != epoch:
                 continue  # cancelled by a busy edge
             if trace is not None:
-                trace.append(f"{now} c{cid} {PHASES[s.phase]}->tx-pending")
+                trace.append(f"{now} c{pos} {PHASES[s.phase]}->tx-pending")
             if s.phase == _AIFS_WAIT:
                 waiting.remove(pos)
             else:
@@ -305,13 +299,13 @@ def _run(
                     del deferred[s.backoff_target]
                     pop(targets)
             s.phase = _TX_PENDING
-            push(heap, (now, _PRIO_TX_START, cid, pos, _TX_START, 0))
+            push(heap, (now, _PRIO_TX_START, pos, _TX_START, 0))
 
         elif kind == _TX_START:
             if trace is not None:
-                trace.append(f"{now} c{cid} tx-pending->transmitting")
+                trace.append(f"{now} c{pos} tx-pending->transmitting")
             s.phase = _TRANSMITTING
-            push(heap, (now + s.airtime, _PRIO_TX_END, cid, pos, _TX_END, 0))
+            push(heap, (now + s.airtime, _PRIO_TX_END, pos, _TX_END, 0))
             if active:
                 # overlap on start destroys every packet in the air, ours included
                 for other in active.values():
@@ -331,7 +325,7 @@ def _run(
                 for other in senders:
                     if other.phase in (_AIFS_WAIT, _BACKOFF_AIFS, _BACKOFF_COUNTDOWN):
                         trace.append(
-                            f"{now} c{other.connection_id} "
+                            f"{now} c{other.position} "
                             f"{PHASES[other.phase]}->backoff-wait-idle"
                         )
                         other.phase = _BACKOFF_WAIT_IDLE
@@ -343,7 +337,7 @@ def _run(
 
         elif kind == _COUNTDOWN_MARK:  # only with a trace
             if token == epoch:
-                trace.append(f"{now} c{cid} backoff-aifs->backoff-countdown")
+                trace.append(f"{now} c{pos} backoff-aifs->backoff-countdown")
                 s.phase = _BACKOFF_COUNTDOWN
 
         else:
@@ -352,28 +346,27 @@ def _run(
             while True:
                 if kind == _SENSE:
                     if trace is not None:
-                        trace.append(f"{now} c{cid} {PHASES[s.phase]}->sensing")
+                        trace.append(f"{now} c{pos} {PHASES[s.phase]}->sensing")
                     if active:
                         # first contention for this packet: draw the backoff
                         defer(pos)
                         activations += 1
                         if trace is not None:
-                            trace.append(f"{now} c{cid} sensing->backoff-wait-idle")
+                            trace.append(f"{now} c{pos} sensing->backoff-wait-idle")
                         break
                     if trace is not None:
-                        trace.append(f"{now} c{cid} sensing->aifs-wait")
+                        trace.append(f"{now} c{pos} sensing->aifs-wait")
                     end = now + aifs + s.airtime
                     if waiting or deferred or (heap and heap[0][0] < end):
                         s.phase = _AIFS_WAIT
-                        push(heap, (now + aifs, _PRIO_DECISION, cid, pos, _COMMIT,
-                                    epoch))
+                        push(heap, (now + aifs, _PRIO_DECISION, pos, _COMMIT, epoch))
                         waiting.add(pos)
                         break
                     # uncontended: no other event comes before this packet's
                     # end, and at the end its own ending resolves first
                     if trace is not None:
-                        trace.append(f"{now + aifs} c{cid} aifs-wait->tx-pending")
-                        trace.append(f"{now + aifs} c{cid} tx-pending->transmitting")
+                        trace.append(f"{now + aifs} c{pos} aifs-wait->tx-pending")
+                        trace.append(f"{now + aifs} c{pos} tx-pending->transmitting")
                     s.phase = _TRANSMITTING
                     s.current_collided = False
                     now = end
@@ -392,9 +385,8 @@ def _run(
                         s.delivered_late += 1
                     outcome = "received"
                 if trace is not None:
-                    trace.append(f"{now} c{cid} packet {s.packet_index} {outcome}")
-                s.packet_index += 1
-                nominal_end = s.scheduled_start + s.packet_index * (aifs + s.airtime)
+                    trace.append(f"{now} c{pos} packet {s.sent - 1} {outcome}")
+                nominal_end = s.scheduled_start + s.sent * (aifs + s.airtime)
                 s.delay_total_us += now - nominal_end
                 s.last_tx_end = now
                 s.packets_remaining -= 1
@@ -405,29 +397,27 @@ def _run(
                     least = targets[0]
                     commit_at = now + aifs + (least - clock) * slot
                     for p in deferred[least]:
-                        push(heap, (commit_at, _PRIO_DECISION,
-                                    senders[p].connection_id, p, _COMMIT, epoch))
+                        push(heap, (commit_at, _PRIO_DECISION, p, _COMMIT, epoch))
                     if trace is not None:
                         for other in senders:
                             if other.phase != _BACKOFF_WAIT_IDLE:
                                 continue
                             trace.append(
-                                f"{now} c{other.connection_id} "
+                                f"{now} c{other.position} "
                                 "backoff-wait-idle->backoff-aifs"
                             )
                             other.phase = _BACKOFF_AIFS
                             if other.backoff_target != clock:
-                                push(heap, (now + aifs, _PRIO_DECISION,
-                                            other.connection_id, other.position,
+                                push(heap, (now + aifs, _PRIO_DECISION, other.position,
                                             _COUNTDOWN_MARK, epoch))
                 if s.packets_remaining == 0:
                     if trace is not None:
-                        trace.append(f"{now} c{cid} transmitting->done")
+                        trace.append(f"{now} c{pos} transmitting->done")
                     s.phase = _DONE
                     break
                 if heap and heap[0][0] <= now:
                     # another event at this instant may resolve first
-                    push(heap, (now, _PRIO_DECISION, cid, pos, _SENSE, 0))
+                    push(heap, (now, _PRIO_DECISION, pos, _SENSE, 0))
                     break
                 kind = _SENSE
     return activations
@@ -450,8 +440,9 @@ def simulate(
     prevented.
 
     ``trace``, when given a list, receives one human-readable line per
-    phase transition (``TIME cID OLD->NEW``) and per packet outcome
-    (``TIME cID packet N received|collided|ambient-lost``).
+    phase transition (``TIME cN OLD->NEW``) and per packet outcome
+    (``TIME cN packet K received|collided|ambient-lost``), N being the
+    sender's position in ``requests``.
 
     Raises:
         ValueError: schedule and request counts differ, or a start is
@@ -468,7 +459,6 @@ def simulate(
     senders = [
         SenderState(
             position=position,
-            connection_id=req.id,
             scheduled_start=start,
             airtime=req.packet_airtime,
             deadline=req.deadline,
@@ -479,7 +469,6 @@ def simulate(
     activations = _run(senders, channel, seed, trace)
     stats = tuple(
         ConnectionStats(
-            connection_id=s.connection_id,
             sent=s.sent,
             received=s.received,
             collided=s.collided,

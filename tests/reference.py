@@ -119,7 +119,6 @@ _TX_END, _SENSE, _TX_START, _AIFS_END, _BK_AIFS_END, _SLOT_END = range(6)
 @dataclass
 class _Sender:
     position: int
-    connection_id: int
     scheduled_start: int
     airtime: int
     deadline: int
@@ -142,14 +141,15 @@ class _Sim:
     """Every sender's countdown is a chain of timers: a full AIFS after
     each idle edge, then one timer per slot, each cancelled (and the
     count frozen) by the next busy edge. Events are ordered by (time,
-    priority, connection id, position), then by insertion."""
+    priority, position), then by insertion; a sender prints as
+    ``c<position>``."""
 
     def __init__(self, requests, schedule, channel, seed, trace):
         self.channel = channel
         self.rng = random.Random(seed)
         self.trace = trace
         self.senders = [
-            _Sender(position, req.id, start, req.packet_airtime, req.deadline,
+            _Sender(position, start, req.packet_airtime, req.deadline,
                     req.packet_count)
             for position, (req, start) in enumerate(zip(requests, schedule.starts))
         ]
@@ -162,8 +162,7 @@ class _Sim:
         self.seq += 1
         heapq.heappush(
             self.heap,
-            (time, prio, sender.connection_id, sender.position, self.seq,
-             kind, token),
+            (time, prio, sender.position, self.seq, kind, token),
         )
 
     def _schedule_timer(self, sender, kind, time):
@@ -172,13 +171,13 @@ class _Sim:
 
     def _set_phase(self, sender, phase, now):
         if self.trace is not None and phase != sender.phase:
-            self.trace.append(f"{now} c{sender.connection_id} {sender.phase}->{phase}")
+            self.trace.append(f"{now} c{sender.position} {sender.phase}->{phase}")
         sender.phase = phase
 
     def _note_outcome(self, sender, now, outcome):
         if self.trace is not None:
             self.trace.append(
-                f"{now} c{sender.connection_id} packet {sender.packet_index} {outcome}"
+                f"{now} c{sender.position} packet {sender.packet_index} {outcome}"
             )
 
     def _commit(self, sender, now):
@@ -278,7 +277,7 @@ class _Sim:
             self._on_slot_end,
         )
         while self.heap:
-            time, _prio, _id, position, _seq, kind, token = heapq.heappop(self.heap)
+            time, _prio, position, _seq, kind, token = heapq.heappop(self.heap)
             sender = self.senders[position]
             if kind >= _AIFS_END and token != sender.timer_token:
                 continue  # cancelled
@@ -286,7 +285,6 @@ class _Sim:
         return SimReport(
             per_connection=tuple(
                 ConnectionStats(
-                    connection_id=s.connection_id,
                     sent=s.sent,
                     received=s.received,
                     collided=s.collided,

@@ -205,6 +205,3 @@ class TestValidation:
         rs = [req(1000, airtime=60), req(1000, airtime=10, id=1)]
         assert total_cost(Schedule((40, 100)), rs) == 0
         assert total_cost(Schedule((40, 99)), rs) == 2
-
-    def test_schedule_len(self):
-        assert len(Schedule((0, 10, 20))) == 3

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txsched import (
     ScenarioError,
+    ScenarioSpec,
     WindowSweep,
     load_scenario,
     parse_scenario,
@@ -21,6 +24,73 @@ seeds 1 2 3
 
 def parse(text):
     return parse_scenario(text, source="test.scn")
+
+
+# each key/value directive's keys, each with a value it accepts
+VALID = {
+    "connection": {
+        "deadline": "100us", "packets": "1", "airtime": "10us", "overhead": "0us",
+    },
+    "scheduler": {"step": "5us", "margin": "0us", "ordering": "input-order"},
+    "channel": {
+        "slot_time": "13us", "aifs": "58us", "cw": "15", "airtime": "23us",
+        "ambient_loss": "0.5",
+    },
+    "sweep": {"start": "0us", "stop": "10us", "step": "5us"},
+}
+MALFORMED = (
+    "1_0", "1_0us", "\u0663", "\u0663us", "-", "-us", ".", "nan", "1e3", "+5",
+    "us", "10", "0us", "-5us", "0", "-1", "1.5", "10.5us", "0.0_1",
+    str(10**30), f"{10**30}us", "9" * 5000, "9" * 5000 + "us", "0." + "9" * 5000,
+)
+KEYS = sorted({key for keys in VALID.values() for key in keys}) + ["bogus"]
+TOKENS = (
+    sorted({value for keys in VALID.values() for value in keys.values()})
+    + ["tsgs", "random", "exhaustive", "deadline-ascending", "txsched/1"]
+    + list(MALFORMED)
+)
+WHOLE_LINES = (
+    "connection 2 deadline 100us packets 1",
+    "connection 3 deadline 50us packets 2 airtime 10us overhead 5us",
+    "scheduler step 5us margin 10us",
+    "schedulers tsgs random",
+    "channel airtime 30us ambient_loss 0.5",
+    "sweep start 0us stop 10us step 5us",
+    "seeds 1 2",
+)
+
+
+def key_value_line(directive):
+    """`directive` with distinct keys, each value valid for its key or
+    malformed."""
+    keys = VALID[directive]
+    pair = st.sampled_from([*keys, "bogus"]).flatmap(
+        lambda key: st.tuples(
+            st.just(key),
+            st.one_of(st.just(keys.get(key, "1")), st.sampled_from(MALFORMED)),
+        )
+    )
+    head = st.just(directive)
+    if directive == "connection":
+        head = st.sampled_from(("connection 1", "connection 2", "connection 3"))
+    return st.builds(
+        lambda head, pairs: " ".join([head, *(word for kv in pairs for word in kv)]),
+        head,
+        st.lists(pair, max_size=5, unique_by=lambda kv: kv[0]),
+    )
+
+
+LINES = st.one_of(
+    st.sampled_from(WHOLE_LINES),
+    st.sampled_from(list(VALID)).flatmap(key_value_line),
+    st.builds(
+        lambda directive, words: " ".join((directive, *words)),
+        st.sampled_from([*VALID, "format", "schedulers", "seeds", "frobnicate"]),
+        st.lists(st.sampled_from(KEYS + TOKENS), max_size=9),
+    ),
+)
+# mostly the right header, so that most examples get past it
+HEADERS = st.sampled_from(["format txsched/1"] * 6 + ["", "format txsched/9"])
 
 
 class TestBundledScenario:
@@ -290,9 +360,52 @@ class TestErrors:
             line=2,
         )
 
+    def test_overlong_integers_rejected(self):
+        # int() raises its own ValueError past its digit limit
+        digits = "9" * 5000
+        self.expect(
+            f"format txsched/1\nseeds {digits}\n", "seed is not an integer", line=2
+        )
+        self.expect(
+            f"format txsched/1\nconnection 0 deadline {digits}us packets 1\n",
+            "deadline is not an integer microsecond value",
+            line=2,
+        )
+
     def test_missing_file(self):
         with pytest.raises(OSError):
             load_scenario("/nonexistent/path.scn")
 
     def test_error_is_value_error(self):
         assert issubclass(ScenarioError, ValueError)
+
+
+class TestFuzz:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(HEADERS, st.booleans(), st.lists(LINES, max_size=8))
+    def test_token_soup_raises_only_scenario_error(self, header, minimal, lines):
+        # MINIMAL's body first lets the lines after it reach whole-scenario checks
+        body = MINIMAL.splitlines()[1:] if minimal else []
+        text = "\n".join([header, *body, *lines])
+        try:
+            assert isinstance(parse(text), ScenarioSpec)
+        except ScenarioError:
+            pass
+
+    @pytest.mark.parametrize(
+        "directive,key",
+        [(directive, key) for directive, keys in VALID.items() for key in keys],
+    )
+    def test_bad_token_names_key_and_line(self, directive, key):
+        # the other keys valid, so the line's error can only be this key's
+        head = "connection 0" if directive == "connection" else directive
+        others = [f"{k} {v}" for k, v in VALID[directive].items() if k != key]
+        line = f"format txsched/1\n{head} {' '.join(others)} {key} "
+        for token in MALFORMED:
+            with pytest.raises(ScenarioError):
+                parse(line + token)
+        with pytest.raises(ScenarioError) as err:
+            parse(line + "\u0663")
+        message = str(err.value)
+        assert message.startswith("test.scn:2: ")
+        assert key in message.removeprefix("test.scn:2: ")

@@ -210,9 +210,16 @@ class TestExhaustive:
             assert result.schedule.starts == best_starts
 
     def test_enumeration_cap(self):
-        rs = [req(2000, 10, id=0), req(2000, 10, id=1)]
-        with pytest.raises(InstanceTooLargeError):
-            exhaustive_schedule(rs, SchedulerConfig(step=10), enumeration_cap=100)
+        # grids are ranges and the cap is checked before any work, so both
+        # sides of the real cap are instant: one grid of exactly the cap is
+        # solved by its last level alone, two of cap + 1 points are refused
+        cap = schedulers.ENUMERATION_CAP
+        config = SchedulerConfig(step=1)
+        at_cap = exhaustive_schedule([req(cap - 1 + 10, 10)], config)
+        assert at_cap.candidate_evaluations == cap
+        rs = [req(cap + 10, 10, id=0), req(cap + 10, 10, id=1)]
+        with pytest.raises(InstanceTooLargeError, match=f"cap of {cap}$"):
+            exhaustive_schedule(rs, config)
 
     def test_deterministic(self):
         requests, config = random_instance(random.Random(9))

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,9 +33,8 @@ def train(n, packets=50, **kw):
     return [req(id=i, packets=packets, **kw) for i in range(n)]
 
 
-def stats(id, sent, received=0, collided=0, ambient=0):
+def stats(sent, received=0, collided=0, ambient=0):
     return ConnectionStats(
-        connection_id=id,
         sent=sent,
         received=received,
         collided=collided,
@@ -248,6 +248,17 @@ class TestProperties:
         assert simulate(*run, trace=first) == simulate(*run, trace=second)
         assert first == second
 
+    @PROPERTY
+    @given(ANY_CHANNEL_RUN)
+    def test_ids_play_no_part(self, run):
+        requests, schedule, channel, seed = run
+        by_position = [replace(r, id=i) for i, r in enumerate(requests)]
+        first, second = [], []
+        assert simulate(requests, schedule, channel, seed, trace=first) == simulate(
+            by_position, schedule, channel, seed, trace=second
+        )
+        assert first == second
+
 
 class TestResourceBound:
     def test_huge_cw_allocates_nothing_by_cw(self):
@@ -327,6 +338,25 @@ class TestConnectionIdentity:
         for c in report.per_connection:
             assert c.sent == 5 == c.received + c.collided + c.ambient_lost
 
+    def test_shared_id_traces_by_position(self):
+        trace = []
+        reqs = [req(id=0), req(id=0)]
+        simulate(reqs, Schedule((0, 1000)), ChannelConfig(), seed=1, trace=trace)
+        assert "81 c0 packet 0 received" in trace
+        assert "1081 c1 packet 0 received" in trace
+        assert not any(line.startswith("1081 c0") for line in trace)
+
+    def test_swapped_ids_same_trace_and_report(self):
+        # same-instant senses and commits: any tie broken by id would show
+        def run(ids):
+            trace = []
+            reqs = [req(id=i, packets=3) for i in ids]
+            report = simulate(reqs, Schedule((0, 0)), ChannelConfig(), seed=4,
+                              trace=trace)
+            return report, trace
+
+        assert run((1, 0)) == run((0, 1))
+
 
 class TestDeadlineAccounting:
     def test_on_time_packets_not_counted(self):
@@ -350,23 +380,23 @@ class TestReportOps:
     def test_pdr_arithmetic(self):
         report = SimReport(
             per_connection=(
-                stats(0, 50, received=43, collided=7),
-                stats(1, 50, received=43, collided=7),
+                stats(50, received=43, collided=7),
+                stats(50, received=43, collided=7),
             ),
             backoff_activations=0,
         )
         assert pdr(report) == 0.86
 
     def test_pdr_without_sent_packets(self):
-        report = SimReport(per_connection=(stats(0, 0),), backoff_activations=0)
+        report = SimReport(per_connection=(stats(0),), backoff_activations=0)
         with pytest.raises(ValueError):
             pdr(report)
 
     def test_collision_summary_order(self):
         report = SimReport(
             per_connection=(
-                stats(0, 5, received=4, collided=1),
-                stats(1, 5, received=2, collided=3),
+                stats(5, received=4, collided=1),
+                stats(5, received=2, collided=3),
             ),
             backoff_activations=0,
         )
