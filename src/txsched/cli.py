@@ -24,6 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .experiment import (
+    _require_comparison,
     emit,
     format_summary,
     render,
@@ -131,6 +132,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args, spec: ScenarioSpec) -> int:
+    if args.summary:
+        # fail before the work, and before any table is written
+        _require_comparison(spec.schedulers)
     table = run_experiment(spec)
     if args.out:
         emit(table, args.format, args.out)

@@ -15,10 +15,9 @@ the scenario's own deadlines were used unchanged.
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from statistics import fmean
 
 from .core import Schedule, TransmissionRequest, compute_duration
 from .scenario import ScenarioSpec
@@ -83,7 +82,13 @@ def rescale_requests(
     window_us: int,
     config: SchedulerConfig,
 ) -> tuple[TransmissionRequest, ...]:
-    """Copies whose deadlines give every connection exactly this window."""
+    """Copies whose deadlines give every connection exactly this window.
+
+    Raises:
+        ValueError: the window is negative.
+    """
+    if window_us < 0:
+        raise ValueError(f"window must be >= 0, got {window_us}")
     return tuple(
         dataclasses.replace(
             req, deadline=window_us + compute_duration(req) + config.margin
@@ -162,20 +167,27 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
     return SweepTable(connections=len(spec.requests), rows=tuple(rows))
 
 
+def _mean(values) -> float:
+    # statistics.fmean computes exactly this on 3.10-3.13; importing
+    # statistics would cost every CLI verb its import
+    data = list(values)
+    return math.fsum(data) / len(data)
+
+
 def _aggregate(group: list[SweepRow]) -> SweepRow:
     n = len(group[0].collisions)
     return SweepRow(
         window_us=group[0].window_us,
         scheduler=group[0].scheduler,
         seed="mean",
-        pdr=fmean(r.pdr for r in group),
-        cost_us=fmean(r.cost_us for r in group),
-        candidate_evals=fmean(r.candidate_evals for r in group),
+        pdr=_mean(r.pdr for r in group),
+        cost_us=_mean(r.cost_us for r in group),
+        candidate_evals=_mean(r.candidate_evals for r in group),
         collisions=tuple(
-            fmean(r.collisions[i] for r in group) for i in range(n)
+            _mean(r.collisions[i] for r in group) for i in range(n)
         ),
-        received=tuple(fmean(r.received[i] for r in group) for i in range(n)),
-        mean_delay_us=fmean(r.mean_delay_us for r in group),
+        received=tuple(_mean(r.received[i] for r in group) for i in range(n)),
+        mean_delay_us=_mean(r.mean_delay_us for r in group),
     )
 
 
@@ -216,6 +228,8 @@ def render(table: SweepTable, format: str) -> str:
             lines.append(",".join(_cell(v) for v in _row_values(row)))
         return "\n".join(lines) + "\n"
     if format == "json":
+        import json
+
         payload = {
             "format": TABLE_FORMAT_TAG,
             "connections": table.connections,
@@ -235,6 +249,8 @@ def emit(table: SweepTable, format: str, path: str | Path) -> None:
 
 def read_table(path: str | Path) -> SweepTable:
     """Load a table previously emitted as JSON."""
+    import json
+
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format") != TABLE_FORMAT_TAG:
         raise ValueError(
@@ -284,6 +300,14 @@ class ComparisonSummary:
     pdr_gap: float | None
 
 
+def _require_comparison(schedulers) -> None:
+    if len(schedulers) < 2:
+        raise MissingSchedulerError(
+            f"comparison needs at least two schedulers, found "
+            f"{sorted(schedulers) or 'none'}"
+        )
+
+
 def report_comparison(table: SweepTable) -> ComparisonSummary:
     """Summarize each scheduler over all seed rows.
 
@@ -293,16 +317,12 @@ def report_comparison(table: SweepTable) -> ComparisonSummary:
     by_name: dict[str, list[SweepRow]] = {}
     for row in table.seed_rows():
         by_name.setdefault(row.scheduler, []).append(row)
-    if len(by_name) < 2:
-        raise MissingSchedulerError(
-            f"comparison needs at least two schedulers, found "
-            f"{sorted(by_name) or 'none'}"
-        )
+    _require_comparison(by_name)
     per_scheduler = {
         name: SchedulerSummary(
-            mean_pdr=fmean(r.pdr for r in rows),
-            mean_collided=fmean(sum(r.collisions) for r in rows),
-            mean_delay_us=fmean(r.mean_delay_us for r in rows),
+            mean_pdr=_mean(r.pdr for r in rows),
+            mean_collided=_mean(sum(r.collisions) for r in rows),
+            mean_delay_us=_mean(r.mean_delay_us for r in rows),
         )
         for name, rows in sorted(by_name.items())
     }

@@ -54,6 +54,16 @@ packet's busy edge. An event at exactly the end may stay queued, since an
 ending resolves before anything else at its instant. Trace lines, outcome
 accounting and the ambient-loss draw happen where the queued events would
 have made them, so the RNG order and every output byte are unchanged.
+
+Without a trace, a sender whose packet runs inline also runs, in one step,
+every further packet of its train that ends by the next queued event (the
+heap's top time h). With period P = aifs + airtime and k packets left,
+m = min(k, (h - now) // P) packets fit, and packet j ends at now + j * P.
+Only the ambient-loss draws, in packet order, are taken one by one;
+lateness is end > deadline, and every packet of the stretch lags its
+nominal end by the same amount. The last of the m packets is accounted as
+a single inline packet, so the train's end, its done transition and a
+re-queue at an instant shared with another event keep one definition.
 """
 
 from __future__ import annotations
@@ -249,7 +259,9 @@ def _run(
     the module docstring) is accounted for by the same code as a queued
     one. ``deferred`` is empty whenever a packet runs inline, so an inline
     end is never an idle edge. After any end the sender's next sense runs
-    at once, unless another event is queued at that instant.
+    at once, unless another event is queued at that instant. Without a
+    trace, an inline packet first takes the packets of its train before the
+    last one that ends by the heap's top time in one arithmetic step.
     """
     rng = random.Random(seed)
     aifs = channel.aifs
@@ -367,6 +379,29 @@ def _run(
                     if trace is not None:
                         trace.append(f"{now + aifs} c{pos} aifs-wait->tx-pending")
                         trace.append(f"{now + aifs} c{pos} tx-pending->transmitting")
+                    else:
+                        # the packets before the last one to end by the next
+                        # queued event, in one step (see the docstring)
+                        period = aifs + s.airtime
+                        batch = s.packets_remaining - 1
+                        if heap:
+                            batch = min(batch, (heap[0][0] - now) // period - 1)
+                        if batch > 0:
+                            lag = now - s.scheduled_start - s.sent * period
+                            lost = late = 0
+                            for t in range(now + period, end + batch * period, period):
+                                if loss > 0 and rng.random() < loss:
+                                    lost += 1
+                                elif t > s.deadline:
+                                    late += 1
+                            s.sent += batch
+                            s.received += batch - lost
+                            s.ambient_lost += lost
+                            s.delivered_late += late
+                            s.delay_total_us += batch * lag
+                            s.packets_remaining -= batch
+                            now += batch * period
+                            end += batch * period
                     s.phase = _TRANSMITTING
                     s.current_collided = False
                     now = end

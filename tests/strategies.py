@@ -13,7 +13,8 @@ def channel_runs(draw, max_n=6, max_start_slot=12, max_packets=4, max_cw=6):
     the examples repeat connection ids; the others shuffle distinct ids so
     that id order differs from position order. Starts spread over many
     slots with long trains leave runs of uncontended packets between the
-    contended ones."""
+    contended ones. Deadlines run from before the start (every packet
+    late) to the train's uncontended end, so they often fall mid-train."""
     slot = draw(st.integers(1, 4))
     aifs = draw(st.sampled_from((0, slot, 2 * slot, draw(st.integers(0, 9)))))
     cw = draw(st.integers(1, max_cw))
@@ -23,16 +24,15 @@ def channel_runs(draw, max_n=6, max_start_slot=12, max_packets=4, max_cw=6):
         ids = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     else:
         ids = draw(st.permutations(range(n)))
-    requests = [
-        TransmissionRequest(
-            ids[i],
-            draw(st.integers(0, 60)),
-            draw(st.integers(1, max_packets)),
-            slot * draw(st.integers(1, 4)),
-        )
-        for i in range(n)
-    ]
     starts = tuple(slot * draw(st.integers(0, max_start_slot)) for _ in range(n))
+    requests = []
+    for i in range(n):
+        packets = draw(st.integers(1, max_packets))
+        airtime = slot * draw(st.integers(1, 4))
+        end = starts[i] + packets * (aifs + airtime)
+        requests.append(
+            TransmissionRequest(ids[i], draw(st.integers(0, end)), packets, airtime)
+        )
     channel = ChannelConfig(
         slot_time=slot, aifs=aifs, cw=cw, ambient_loss_rate=loss
     )

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import txsched
 from txsched import read_table
 from txsched.cli import main, resolve_scenario
 
@@ -12,6 +17,14 @@ schedulers tsgs random
 channel slot_time 13us aifs 58us cw 15 airtime 23us
 seeds 7 3
 """
+
+
+def child_env():
+    """Environment for a child that imports the package this test imports,
+    installed or not."""
+    src = os.path.dirname(os.path.dirname(txsched.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 @pytest.fixture
@@ -71,6 +84,21 @@ class TestRun:
         out = tmp_path / "out.csv"
         assert main(["run", small_scn, "--out", str(out), "--summary"]) == 0
         assert "pdr gap (tsgs - random):" in capsys.readouterr().out
+
+    def test_summary_with_one_scheduler_fails_before_any_table(
+        self, tmp_path, capsys
+    ):
+        one = tmp_path / "one.scn"
+        one.write_text(SMALL.replace("schedulers tsgs random", "schedulers tsgs"))
+        out = tmp_path / "out.csv"
+        assert main(["run", str(one), "--out", str(out), "--summary"]) == 2
+        assert main(["run", str(one), "--summary"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(
+            "error: comparison needs at least two schedulers, found ['tsgs']"
+        ) == 2
+        assert not out.exists()
 
     def test_exhaustive_blowup_is_runtime_error(self, tmp_path, capsys):
         huge = tmp_path / "huge.scn"
@@ -135,6 +163,14 @@ class TestTrace:
         ) == 0
         assert "->" in capsys.readouterr().out
 
+    def test_negative_window_names_the_window(self, small_scn, capsys):
+        code = main(
+            ["trace", small_scn, "--scheduler", "tsgs", "--seed", "7",
+             "--window", "-5"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: window must be >= 0, got -5\n"
+
     @pytest.mark.parametrize("seed", ["1_0", "\u0663"])
     def test_lenient_seed_is_usage_error(self, small_scn, seed, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -152,20 +188,29 @@ class TestResolution:
             resolve_scenario("does-not-exist")
 
     def test_module_entry_point(self):
-        import os
-        import subprocess
-        import sys
-
-        import txsched
-
-        # the child imports the package this test imports, installed or not
-        src = os.path.dirname(os.path.dirname(txsched.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "txsched", "validate", "table2"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")
+
+    def test_cli_import_loads_neither_statistics_nor_json(self):
+        # against a bare interpreter, as site's .pth files differ by host
+        show = "import sys; print(' '.join(sys.modules))"
+
+        def modules(code):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env=child_env(),
+                check=True,
+            )
+            return set(proc.stdout.split())
+
+        added = modules("import txsched.cli; " + show) - modules(show)
+        assert "txsched.cli" in added
+        assert not added & {"statistics", "json"}

@@ -1,4 +1,8 @@
+import statistics
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from txsched import (
     MissingSchedulerError,
@@ -16,6 +20,7 @@ from txsched import (
     run_experiment,
     window,
 )
+from txsched.experiment import _mean
 
 SMALL = """\
 format txsched/1
@@ -227,3 +232,17 @@ class TestComparison:
         text = format_summary(report_comparison(SweepTable(connections=2, rows=rows)))
         assert text.splitlines()[0].startswith("scheduler")
         assert "pdr gap (tsgs - random): +0.200000" in text
+
+
+# ints and floats from subnormal to 1e300, mixed in one list
+MIXED = st.one_of(
+    st.integers(-(10**18), 10**18),
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.lists(MIXED, min_size=1, max_size=40))
+def test_mean_is_fmean_bit_for_bit(values):
+    assert _mean(iter(values)).hex() == statistics.fmean(values).hex()

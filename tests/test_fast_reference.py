@@ -1,7 +1,8 @@
 """The prefix-integral schedulers and the sweep cost equal the naive
 references in ``reference.py`` on schedule, cost and counter, and the
-simulator (shared countdown clock, inline uncontended packets) equals the
-per-slot reference on report and trace."""
+simulator (shared countdown clock, inline uncontended packets, stretches
+of a train run in one step) equals the per-slot reference on report and
+trace."""
 
 import itertools
 from collections import Counter
@@ -246,6 +247,14 @@ def test_sparse_simulate_equals_reference(run):
     assert_simulate_equals_reference(*run)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(channel_runs(max_n=4, max_start_slot=300, max_packets=40))
+def test_long_train_simulate_equals_reference(run):
+    # long trains far apart: untraced, most packets run in stretches of
+    # one arithmetic step, which must equal the per-packet accounting
+    assert_simulate_equals_reference(*run)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(channel_runs(max_n=12, max_start_slot=3, max_cw=3))
 def test_piled_up_simulate_equals_reference(run):
@@ -261,6 +270,9 @@ def test_piled_up_simulate_equals_reference(run):
 # its edges.
 _TRAIN = TransmissionRequest(0, 10_000, 3, 23)
 _OTHER = TransmissionRequest(1, 10_000, 2, 23)
+# A ten-packet train: untraced, its packets up to the next queued event run
+# in one step. Packet 5 ends at 405.
+_LONG = TransmissionRequest(0, 10_000, 10, 23)
 
 EDGE_CASES = {
     # senses together with the train's next packet, both commit at 139
@@ -287,6 +299,21 @@ EDGE_CASES = {
     "ambient-loss": (
         [TransmissionRequest(0, 10_000, 8, 23), _OTHER],
         (0, 100),
+        ChannelConfig(ambient_loss_rate=0.3),
+        3,
+    ),
+    # the step ends with the packet that ends at the other's start, which
+    # then senses together with the train's sixth packet
+    "start-at-batched-end": ([_LONG, _OTHER], (0, 405), ChannelConfig(), 3),
+    # the step ends one packet earlier; packet 5 then defers the other
+    "start-before-batched-end": ([_LONG, _OTHER], (0, 404), ChannelConfig(), 3),
+    # packet 5 ends exactly at the deadline and is on time, packet 6 is late
+    "deadline-mid-train": (
+        [TransmissionRequest(0, 405, 10, 23)], (0,), ChannelConfig(), 3
+    ),
+    "deadline-mid-train-loss": (
+        [TransmissionRequest(0, 405, 10, 23)],
+        (0,),
         ChannelConfig(ambient_loss_rate=0.3),
         3,
     ),
