@@ -1,12 +1,25 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from reference import intervals, overlap
 from txsched import (
+    ChannelConfig,
+    ComparisonSummary,
+    ConnectionStats,
     InadmissibleRequestError,
+    ScenarioSpec,
     Schedule,
+    ScheduleResult,
+    SchedulerConfig,
+    SchedulerSummary,
+    SimReport,
+    SweepRow,
+    SweepTable,
     TransmissionRequest,
+    WindowSweep,
     compute_duration,
     feasible,
     total_cost,
@@ -205,3 +218,115 @@ class TestValidation:
         rs = [req(1000, airtime=60), req(1000, airtime=10, id=1)]
         assert total_cost(Schedule((40, 100)), rs) == 0
         assert total_cost(Schedule((40, 99)), rs) == 2
+
+
+# -- record semantics ---------------------------------------------------
+
+_REQUEST = dict(
+    id=3, deadline=900, packet_count=2, packet_airtime=23, per_packet_overhead=58
+)
+_STATS = dict(
+    sent=4, received=3, collided=1, ambient_lost=0, delivered_late=1,
+    delay_total_us=26, realized_duration_us=330,
+)
+_ROW = dict(
+    window_us=243, scheduler="tsgs", seed=7, pdr=0.75, cost_us=0,
+    candidate_evals=4, collisions=(1, 0), received=(1, 2), mean_delay_us=6.5,
+)
+_SUMMARY = dict(mean_pdr=0.75, mean_collided=1.0, mean_delay_us=6.5)
+
+# every public value type: its fields in declaration order, and one field
+# changed to another valid value
+RECORDS = [
+    (TransmissionRequest, _REQUEST, ("deadline", 901)),
+    (Schedule, dict(starts=(0, 81)), ("starts", (0, 82))),
+    (
+        ChannelConfig,
+        dict(slot_time=13, aifs=58, cw=15, ambient_loss_rate=0.25),
+        ("cw", 16),
+    ),
+    (ConnectionStats, _STATS, ("collided", 2)),
+    (
+        SimReport,
+        dict(per_connection=(ConnectionStats(**_STATS),), backoff_activations=2),
+        ("backoff_activations", 3),
+    ),
+    (
+        SchedulerConfig,
+        dict(step=81, margin=5, ordering="deadline-ascending"),
+        ("margin", 6),
+    ),
+    (
+        ScheduleResult,
+        dict(schedule=Schedule((0, 81)), cost=0, candidate_evaluations=4),
+        ("cost", 2),
+    ),
+    (WindowSweep, dict(start=243, stop=729, step=243), ("stop", 486)),
+    (
+        ScenarioSpec,
+        dict(
+            requests=(TransmissionRequest(**_REQUEST),),
+            schedulers=("random", "tsgs"),
+            scheduler_config=SchedulerConfig(step=81),
+            channel=ChannelConfig(),
+            seeds=(3, 7),
+            sweep=WindowSweep(243, 729, 243),
+        ),
+        ("sweep", None),
+    ),
+    (SweepRow, _ROW, ("seed", "mean")),
+    (SweepTable, dict(connections=2, rows=(SweepRow(**_ROW),)), ("rows", ())),
+    (SchedulerSummary, _SUMMARY, ("mean_pdr", 0.5)),
+    (
+        ComparisonSummary,
+        dict(per_scheduler={"tsgs": SchedulerSummary(**_SUMMARY)}, pdr_gap=0.25),
+        ("pdr_gap", None),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, change", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+class TestRecordSemantics:
+    def test_equality_by_fields(self, cls, fields, change):
+        name, value = change
+        assert cls(**fields) == cls(**fields)
+        assert cls(**fields) != cls(**{**fields, name: value})
+        assert cls(**fields) != tuple(fields.values())
+        for other, other_fields, _ in RECORDS:
+            if other is not cls:
+                assert cls(**fields) != other(**other_fields)
+
+    def test_equal_values_hash_equal(self, cls, fields, change):
+        if cls is ComparisonSummary:
+            # a dict field makes the record unhashable, as a tuple of it is
+            with pytest.raises(TypeError):
+                hash(cls(**fields))
+            return
+        assert hash(cls(**fields)) == hash(cls(**fields))
+
+    def test_repr(self, cls, fields, change):
+        text = ", ".join(f"{k}={v!r}" for k, v in fields.items())
+        assert repr(cls(**fields)) == f"{cls.__name__}({text})"
+
+    def test_frozen(self, cls, fields, change):
+        record = cls(**fields)
+        name, value = change
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert record == cls(**fields)
+
+    def test_copy_deepcopy_pickle(self, cls, fields, change):
+        record = cls(**fields)
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_positional_construction_follows_field_order():
+    assert TransmissionRequest(*_REQUEST.values()) == TransmissionRequest(**_REQUEST)
+    assert SweepRow(*_ROW.values()) == SweepRow(**_ROW)
+    assert ChannelConfig() == ChannelConfig(13, 58, 15, 0.0)
