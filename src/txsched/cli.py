@@ -18,9 +18,7 @@ runtime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .experiment import (
@@ -54,9 +52,11 @@ def resolve_scenario(name: str) -> Path:
     if path.exists():
         return path
     stem = name if name.endswith(".scn") else f"{name}.scn"
-    bundled = resources.files("txsched").joinpath("scenarios", stem)
+    # the scenarios ship as files beside this module; importlib.resources
+    # would find the same files, but imports inspect and typing on 3.12+
+    bundled = Path(__file__).with_name("scenarios") / stem
     if bundled.is_file():
-        return Path(str(bundled))
+        return bundled
     raise FileNotFoundError(
         f"no such scenario file or bundled scenario: {name!r}"
     )
@@ -138,10 +138,13 @@ def _cmd_run(args, spec: ScenarioSpec) -> int:
     table = run_experiment(spec)
     if args.out:
         emit(table, args.format, args.out)
+        summary_to = sys.stdout
     else:
         sys.stdout.write(render(table, args.format))
+        # keep stdout one parseable table
+        summary_to = sys.stderr
     if args.summary:
-        sys.stdout.write(format_summary(report_comparison(table)))
+        summary_to.write(format_summary(report_comparison(table)))
     return 0
 
 
@@ -174,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
             except ValueError as exc:
                 print(f"error: invalid sweep: {exc}", file=sys.stderr)
                 return 1
-            spec = dataclasses.replace(spec, sweep=sweep)
+            spec = spec.replace(sweep=sweep)
         if args.verb in ("run", "sweep"):
             return _cmd_run(args, spec)
         return _cmd_trace(args, spec)

@@ -6,22 +6,67 @@ Nothing in this module rounds, and intervals are half-open
 ``[start, start + length)``, so two transmissions that merely touch at an
 instant neither overlap nor collide. The same convention is used by the
 channel simulator.
+
+The value types of the package are immutable slotted records built on
+``_Record``: they compare, hash and print by their fields, refuse
+assignment, and ``replace(**changes)`` returns a checked copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 TimePoint = int
 TimeSpan = int
+
+
+class _Record:
+    """Shared behaviour of the package's immutable value types.
+
+    A subclass lists its fields in ``__slots__``, in constructor order,
+    and writes its own ``__init__``, setting each field through
+    ``object.__setattr__``. Records compare and hash as the tuple of their
+    fields, and only to records of the same class; ``repr`` reads
+    ``Name(field=value, ...)``. ``replace``, ``copy``, ``deepcopy`` and
+    ``pickle`` all rebuild a record through its constructor, so every copy
+    is validated again.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, checked by the constructor."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        return self.__class__(**{**fields, **changes})
 
 
 class InadmissibleRequestError(ValueError):
     """No start time >= 0 lets this transmission finish by its deadline."""
 
 
-@dataclass(frozen=True)
-class TransmissionRequest:
+class TransmissionRequest(_Record):
     """One connection's transmission requirement.
 
     ``deadline`` is the absolute instant by which the whole packet train
@@ -30,32 +75,49 @@ class TransmissionRequest:
     AIFS to make planned durations match uncontended on-air occupancy.
     """
 
+    __slots__ = ("id", "deadline", "packet_count", "packet_airtime",
+                 "per_packet_overhead")
     id: int
     deadline: TimePoint
     packet_count: int
     packet_airtime: TimeSpan
-    per_packet_overhead: TimeSpan = 0
+    per_packet_overhead: TimeSpan
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"connection id must be >= 0, got {self.id}")
-        if self.deadline < 0:
-            raise ValueError(f"deadline must be >= 0, got {self.deadline}")
-        if self.packet_count < 1:
-            raise ValueError(f"packet_count must be >= 1, got {self.packet_count}")
-        if self.packet_airtime <= 0:
-            raise ValueError(f"packet_airtime must be > 0, got {self.packet_airtime}")
-        if self.per_packet_overhead < 0:
+    def __init__(
+        self,
+        id: int,
+        deadline: TimePoint,
+        packet_count: int,
+        packet_airtime: TimeSpan,
+        per_packet_overhead: TimeSpan = 0,
+    ) -> None:
+        if id < 0:
+            raise ValueError(f"connection id must be >= 0, got {id}")
+        if deadline < 0:
+            raise ValueError(f"deadline must be >= 0, got {deadline}")
+        if packet_count < 1:
+            raise ValueError(f"packet_count must be >= 1, got {packet_count}")
+        if packet_airtime <= 0:
+            raise ValueError(f"packet_airtime must be > 0, got {packet_airtime}")
+        if per_packet_overhead < 0:
             raise ValueError(
-                f"per_packet_overhead must be >= 0, got {self.per_packet_overhead}"
+                f"per_packet_overhead must be >= 0, got {per_packet_overhead}"
             )
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "deadline", deadline)
+        object.__setattr__(self, "packet_count", packet_count)
+        object.__setattr__(self, "packet_airtime", packet_airtime)
+        object.__setattr__(self, "per_packet_overhead", per_packet_overhead)
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(_Record):
     """Assigned start-sending times, index i holding connection i's start."""
 
+    __slots__ = ("starts",)
     starts: tuple[TimePoint, ...]
+
+    def __init__(self, starts: tuple[TimePoint, ...]) -> None:
+        object.__setattr__(self, "starts", starts)
 
 
 def compute_duration(request: TransmissionRequest) -> TimeSpan:

@@ -14,12 +14,10 @@ the scenario's own deadlines were used unchanged.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Schedule, TransmissionRequest, compute_duration
+from .core import Schedule, TransmissionRequest, _Record, compute_duration
 from .scenario import ScenarioSpec
 from .schedulers import (
     ScheduleResult,
@@ -39,8 +37,7 @@ class MissingSchedulerError(ValueError):
     """The comparison needs at least two schedulers' rows."""
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Record):
     """One experiment outcome.
 
     Per-seed rows hold integer counts; aggregate rows (``seed == "mean"``)
@@ -48,6 +45,8 @@ class SweepRow:
     ``received`` are per connection, in scenario order.
     """
 
+    __slots__ = ("window_us", "scheduler", "seed", "pdr", "cost_us",
+                 "candidate_evals", "collisions", "received", "mean_delay_us")
     window_us: int
     scheduler: str
     seed: int | str
@@ -58,17 +57,43 @@ class SweepRow:
     received: tuple[int | float, ...]
     mean_delay_us: float
 
+    def __init__(
+        self,
+        window_us: int,
+        scheduler: str,
+        seed: int | str,
+        pdr: float,
+        cost_us: int | float,
+        candidate_evals: int | float,
+        collisions: tuple[int | float, ...],
+        received: tuple[int | float, ...],
+        mean_delay_us: float,
+    ) -> None:
+        object.__setattr__(self, "window_us", window_us)
+        object.__setattr__(self, "scheduler", scheduler)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "pdr", pdr)
+        object.__setattr__(self, "cost_us", cost_us)
+        object.__setattr__(self, "candidate_evals", candidate_evals)
+        object.__setattr__(self, "collisions", collisions)
+        object.__setattr__(self, "received", received)
+        object.__setattr__(self, "mean_delay_us", mean_delay_us)
+
     @property
     def is_aggregate(self) -> bool:
         return self.seed == "mean"
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(_Record):
     """All rows of one experiment, plus the connection count for layout."""
 
+    __slots__ = ("connections", "rows")
     connections: int
     rows: tuple[SweepRow, ...]
+
+    def __init__(self, connections: int, rows: tuple[SweepRow, ...]) -> None:
+        object.__setattr__(self, "connections", connections)
+        object.__setattr__(self, "rows", rows)
 
     def seed_rows(self) -> tuple[SweepRow, ...]:
         return tuple(r for r in self.rows if not r.is_aggregate)
@@ -90,9 +115,7 @@ def rescale_requests(
     if window_us < 0:
         raise ValueError(f"window must be >= 0, got {window_us}")
     return tuple(
-        dataclasses.replace(
-            req, deadline=window_us + compute_duration(req) + config.margin
-        )
+        req.replace(deadline=window_us + compute_duration(req) + config.margin)
         for req in requests
     )
 
@@ -278,26 +301,39 @@ def read_table(path: str | Path) -> SweepTable:
 # -- comparison --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchedulerSummary:
+class SchedulerSummary(_Record):
     """Across all seed rows of one scheduler: mean PDR, mean collided
     packets per run, and mean per-packet delay."""
 
+    __slots__ = ("mean_pdr", "mean_collided", "mean_delay_us")
     mean_pdr: float
     mean_collided: float
     mean_delay_us: float
 
+    def __init__(
+        self, mean_pdr: float, mean_collided: float, mean_delay_us: float
+    ) -> None:
+        object.__setattr__(self, "mean_pdr", mean_pdr)
+        object.__setattr__(self, "mean_collided", mean_collided)
+        object.__setattr__(self, "mean_delay_us", mean_delay_us)
 
-@dataclass(frozen=True)
-class ComparisonSummary:
+
+class ComparisonSummary(_Record):
     """Per-scheduler means plus the headline PDR gap.
 
     ``pdr_gap`` is the greedy scheduler's mean PDR minus the random
     baseline's, or None when either is absent from the table.
     """
 
+    __slots__ = ("per_scheduler", "pdr_gap")
     per_scheduler: dict[str, SchedulerSummary]
     pdr_gap: float | None
+
+    def __init__(
+        self, per_scheduler: dict[str, SchedulerSummary], pdr_gap: float | None
+    ) -> None:
+        object.__setattr__(self, "per_scheduler", per_scheduler)
+        object.__setattr__(self, "pdr_gap", pdr_gap)
 
 
 def _require_comparison(schedulers) -> None:

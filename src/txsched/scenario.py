@@ -25,10 +25,15 @@ Errors carry ``path:line:`` prefixes pointing at the offending directive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-from .core import InadmissibleRequestError, TimeSpan, TransmissionRequest, window
+from .core import (
+    InadmissibleRequestError,
+    TimeSpan,
+    TransmissionRequest,
+    _Record,
+    window,
+)
 from .schedulers import SchedulerConfig
 from .simulator import ChannelConfig
 
@@ -43,23 +48,24 @@ class ScenarioError(ValueError):
     """A scenario file failed to parse or validate."""
 
 
-@dataclass(frozen=True)
-class WindowSweep:
+class WindowSweep(_Record):
     """Evenly spaced window sizes applied to every connection's deadline."""
 
+    __slots__ = ("start", "stop", "step")
     start: TimeSpan
     stop: TimeSpan
     step: TimeSpan
 
-    def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError(f"sweep step must be > 0, got {self.step}")
-        if self.start < 0:
-            raise ValueError(f"sweep start must be >= 0, got {self.start}")
-        if self.stop < self.start:
-            raise ValueError(
-                f"sweep stop {self.stop} is below start {self.start}"
-            )
+    def __init__(self, start: TimeSpan, stop: TimeSpan, step: TimeSpan) -> None:
+        if step <= 0:
+            raise ValueError(f"sweep step must be > 0, got {step}")
+        if start < 0:
+            raise ValueError(f"sweep start must be >= 0, got {start}")
+        if stop < start:
+            raise ValueError(f"sweep stop {stop} is below start {start}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "step", step)
 
     def points(self) -> range:
         """The window sizes, start to stop inclusive; a ``range``, so its
@@ -67,16 +73,33 @@ class WindowSweep:
         return range(self.start, self.stop + 1, self.step)
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(_Record):
     """A fully validated experiment description."""
 
+    __slots__ = ("requests", "schedulers", "scheduler_config", "channel",
+                 "seeds", "sweep")
     requests: tuple[TransmissionRequest, ...]
     schedulers: tuple[str, ...]
     scheduler_config: SchedulerConfig
     channel: ChannelConfig
     seeds: tuple[int, ...]
-    sweep: WindowSweep | None = None
+    sweep: WindowSweep | None
+
+    def __init__(
+        self,
+        requests: tuple[TransmissionRequest, ...],
+        schedulers: tuple[str, ...],
+        scheduler_config: SchedulerConfig,
+        channel: ChannelConfig,
+        seeds: tuple[int, ...],
+        sweep: WindowSweep | None = None,
+    ) -> None:
+        object.__setattr__(self, "requests", requests)
+        object.__setattr__(self, "schedulers", schedulers)
+        object.__setattr__(self, "scheduler_config", scheduler_config)
+        object.__setattr__(self, "channel", channel)
+        object.__setattr__(self, "seeds", seeds)
+        object.__setattr__(self, "sweep", sweep)
 
 
 def _fail(source: str, lineno: int, message: str) -> None:

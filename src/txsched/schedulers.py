@@ -41,13 +41,13 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from .core import (
     Schedule,
     TimePoint,
     TimeSpan,
     TransmissionRequest,
+    _Record,
     compute_duration,
     total_cost,
     window,
@@ -62,8 +62,7 @@ class InstanceTooLargeError(ValueError):
     """The candidate-grid product exceeds the exhaustive enumeration cap."""
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
+class SchedulerConfig(_Record):
     """Shared knobs for all strategies.
 
     ``step`` is the search granularity: candidate starts are multiples of
@@ -72,23 +71,28 @@ class SchedulerConfig:
     exhaustive and random treat connections symmetrically.
     """
 
+    __slots__ = ("step", "margin", "ordering")
     step: TimeSpan
-    margin: TimeSpan = 0
-    ordering: str = "input-order"
+    margin: TimeSpan
+    ordering: str
 
-    def __post_init__(self) -> None:
-        if self.step <= 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
-        if self.ordering not in ORDERINGS:
+    def __init__(
+        self, step: TimeSpan, margin: TimeSpan = 0, ordering: str = "input-order"
+    ) -> None:
+        if step <= 0:
+            raise ValueError(f"step must be > 0, got {step}")
+        if margin < 0:
+            raise ValueError(f"margin must be >= 0, got {margin}")
+        if ordering not in ORDERINGS:
             raise ValueError(
-                f"ordering must be one of {ORDERINGS}, got {self.ordering!r}"
+                f"ordering must be one of {ORDERINGS}, got {ordering!r}"
             )
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "ordering", ordering)
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
+class ScheduleResult(_Record):
     """A schedule plus its total overlap cost and the work to find it.
 
     ``candidate_evaluations`` is the paper's operation count in closed
@@ -99,9 +103,17 @@ class ScheduleResult:
     the count is not the work the prefix-integral scoring does.
     """
 
+    __slots__ = ("schedule", "cost", "candidate_evaluations")
     schedule: Schedule
     cost: TimeSpan
     candidate_evaluations: int
+
+    def __init__(
+        self, schedule: Schedule, cost: TimeSpan, candidate_evaluations: int
+    ) -> None:
+        object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "cost", cost)
+        object.__setattr__(self, "candidate_evaluations", candidate_evaluations)
 
 
 def candidate_grid(request: TransmissionRequest, config: SchedulerConfig) -> range:

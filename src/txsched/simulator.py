@@ -70,9 +70,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 
-from .core import Schedule, TimePoint, TimeSpan, TransmissionRequest
+from .core import Schedule, TimePoint, TimeSpan, TransmissionRequest, _Record
 
 # Same-instant resolution order. Endings free the channel before anyone
 # senses; all starts commit after every decision made at that instant.
@@ -110,8 +109,7 @@ PHASES = (
 ) = range(len(PHASES))
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(_Record):
     """MAC and channel parameters shared by all senders.
 
     Each sender's on-air duration is its request's airtime.
@@ -120,25 +118,35 @@ class ChannelConfig:
     non-collision loss source (fading, noise, distance).
     """
 
-    slot_time: TimeSpan = 13
-    aifs: TimeSpan = 58
-    cw: int = 15
-    ambient_loss_rate: float = 0.0
+    __slots__ = ("slot_time", "aifs", "cw", "ambient_loss_rate")
+    slot_time: TimeSpan
+    aifs: TimeSpan
+    cw: int
+    ambient_loss_rate: float
 
-    def __post_init__(self) -> None:
-        if self.slot_time <= 0:
-            raise ValueError(f"slot_time must be > 0, got {self.slot_time}")
-        if self.aifs < 0:
-            raise ValueError(f"aifs must be >= 0, got {self.aifs}")
-        if self.cw < 1:
-            raise ValueError(f"cw must be >= 1, got {self.cw}")
-        if not 0.0 <= self.ambient_loss_rate <= 1.0:
+    def __init__(
+        self,
+        slot_time: TimeSpan = 13,
+        aifs: TimeSpan = 58,
+        cw: int = 15,
+        ambient_loss_rate: float = 0.0,
+    ) -> None:
+        if slot_time <= 0:
+            raise ValueError(f"slot_time must be > 0, got {slot_time}")
+        if aifs < 0:
+            raise ValueError(f"aifs must be >= 0, got {aifs}")
+        if cw < 1:
+            raise ValueError(f"cw must be >= 1, got {cw}")
+        if not 0.0 <= ambient_loss_rate <= 1.0:
             raise ValueError(
-                f"ambient_loss_rate must be in [0, 1], got {self.ambient_loss_rate}"
+                f"ambient_loss_rate must be in [0, 1], got {ambient_loss_rate}"
             )
+        object.__setattr__(self, "slot_time", slot_time)
+        object.__setattr__(self, "aifs", aifs)
+        object.__setattr__(self, "cw", cw)
+        object.__setattr__(self, "ambient_loss_rate", ambient_loss_rate)
 
 
-@dataclass(slots=True)
 class SenderState:
     """Mutable per-connection state advanced by the event loop.
 
@@ -150,26 +158,40 @@ class SenderState:
     the draw to the commit.
     """
 
-    position: int
-    scheduled_start: TimePoint
-    airtime: TimeSpan
-    deadline: TimePoint
-    packets_remaining: int
-    phase: int = _IDLE_UNTIL_START
-    backoff_target: int = 0
-    current_collided: bool = False
-    # outcome counters
-    sent: int = 0
-    received: int = 0
-    collided: int = 0
-    ambient_lost: int = 0
-    delivered_late: int = 0
-    delay_total_us: int = 0
-    last_tx_end: TimePoint = 0
+    __slots__ = (
+        "position", "scheduled_start", "airtime", "deadline",
+        "packets_remaining", "phase", "backoff_target", "current_collided",
+        # outcome counters
+        "sent", "received", "collided", "ambient_lost", "delivered_late",
+        "delay_total_us", "last_tx_end",
+    )
+
+    def __init__(
+        self,
+        position: int,
+        scheduled_start: TimePoint,
+        airtime: TimeSpan,
+        deadline: TimePoint,
+        packets_remaining: int,
+    ) -> None:
+        self.position = position
+        self.scheduled_start = scheduled_start
+        self.airtime = airtime
+        self.deadline = deadline
+        self.packets_remaining = packets_remaining
+        self.phase = _IDLE_UNTIL_START
+        self.backoff_target = 0
+        self.current_collided = False
+        self.sent = 0
+        self.received = 0
+        self.collided = 0
+        self.ambient_lost = 0
+        self.delivered_late = 0
+        self.delay_total_us = 0
+        self.last_tx_end = 0
 
 
-@dataclass(frozen=True)
-class ConnectionStats:
+class ConnectionStats(_Record):
     """Final per-connection outcome counters.
 
     Conservation holds exactly: sent = received + collided + ambient_lost.
@@ -182,6 +204,8 @@ class ConnectionStats:
     uncontended pace.
     """
 
+    __slots__ = ("sent", "received", "collided", "ambient_lost",
+                 "delivered_late", "delay_total_us", "realized_duration_us")
     sent: int
     received: int
     collided: int
@@ -190,17 +214,41 @@ class ConnectionStats:
     delay_total_us: int
     realized_duration_us: TimeSpan
 
+    def __init__(
+        self,
+        sent: int,
+        received: int,
+        collided: int,
+        ambient_lost: int,
+        delivered_late: int,
+        delay_total_us: int,
+        realized_duration_us: TimeSpan,
+    ) -> None:
+        object.__setattr__(self, "sent", sent)
+        object.__setattr__(self, "received", received)
+        object.__setattr__(self, "collided", collided)
+        object.__setattr__(self, "ambient_lost", ambient_lost)
+        object.__setattr__(self, "delivered_late", delivered_late)
+        object.__setattr__(self, "delay_total_us", delay_total_us)
+        object.__setattr__(self, "realized_duration_us", realized_duration_us)
+
     @property
     def mean_delay_us(self) -> float:
         return self.delay_total_us / self.sent if self.sent else 0.0
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(_Record):
     """Outcome of one simulation run; ``per_connection`` is in request order."""
 
+    __slots__ = ("per_connection", "backoff_activations")
     per_connection: tuple[ConnectionStats, ...]
     backoff_activations: int
+
+    def __init__(
+        self, per_connection: tuple[ConnectionStats, ...], backoff_activations: int
+    ) -> None:
+        object.__setattr__(self, "per_connection", per_connection)
+        object.__setattr__(self, "backoff_activations", backoff_activations)
 
     @property
     def total_sent(self) -> int:

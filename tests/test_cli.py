@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -84,6 +85,16 @@ class TestRun:
         out = tmp_path / "out.csv"
         assert main(["run", small_scn, "--out", str(out), "--summary"]) == 0
         assert "pdr gap (tsgs - random):" in capsys.readouterr().out
+
+    def test_json_summary_keeps_stdout_one_table(self, small_scn, tmp_path, capsys):
+        # with the table on stdout the summary goes to stderr
+        assert main(["run", small_scn, "--format", "json", "--summary"]) == 0
+        captured = capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert main(["run", small_scn, "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(captured.out)["connections"] == 2
+        assert captured.out.encode() == out.read_bytes()
+        assert "pdr gap (tsgs - random):" in captured.err
 
     def test_summary_with_one_scheduler_fails_before_any_table(
         self, tmp_path, capsys
@@ -198,19 +209,29 @@ class TestResolution:
         assert proc.stdout.startswith("ok:")
 
     def test_cli_import_loads_neither_statistics_nor_json(self):
-        # against a bare interpreter, as site's .pth files differ by host
-        show = "import sys; print(' '.join(sys.modules))"
-
-        def modules(code):
-            proc = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True,
-                text=True,
-                env=child_env(),
-                check=True,
-            )
-            return set(proc.stdout.split())
-
-        added = modules("import txsched.cli; " + show) - modules(show)
+        added = modules_added_by("import txsched.cli")
         assert "txsched.cli" in added
         assert not added & {"statistics", "json"}
+
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        added = modules_added_by("import txsched.cli")
+        assert "txsched.cli" in added
+        assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def modules_added_by(statement):
+    """Modules a child interpreter holds after `statement` but not before;
+    taken against a bare interpreter, as site's .pth files differ by host."""
+    show = "import sys; print(' '.join(sys.modules))"
+
+    def modules(code):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            check=True,
+        )
+        return set(proc.stdout.split())
+
+    return modules(f"{statement}; {show}") - modules(show)

@@ -326,6 +326,22 @@ class TestRecordSemantics:
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+def test_equal_fields_of_another_type_differ():
+    assert WindowSweep(1, 2, 3) != SchedulerSummary(1, 2, 3)
+
+
+def test_replace_runs_the_constructor_again():
+    request = TransmissionRequest(**_REQUEST)
+    assert request.replace(deadline=901) == TransmissionRequest(
+        **{**_REQUEST, "deadline": 901}
+    )
+    assert request == TransmissionRequest(**_REQUEST)
+    with pytest.raises(ValueError, match="packet_count must be >= 1, got 0"):
+        request.replace(packet_count=0)
+    with pytest.raises(TypeError):
+        request.replace(no_such_field=1)
+
+
 def test_positional_construction_follows_field_order():
     assert TransmissionRequest(*_REQUEST.values()) == TransmissionRequest(**_REQUEST)
     assert SweepRow(*_ROW.values()) == SweepRow(**_ROW)

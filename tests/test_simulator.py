@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -252,7 +251,7 @@ class TestProperties:
     @given(ANY_CHANNEL_RUN)
     def test_ids_play_no_part(self, run):
         requests, schedule, channel, seed = run
-        by_position = [replace(r, id=i) for i, r in enumerate(requests)]
+        by_position = [r.replace(id=i) for i, r in enumerate(requests)]
         first, second = [], []
         assert simulate(requests, schedule, channel, seed, trace=first) == simulate(
             by_position, schedule, channel, seed, trace=second
