@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .core import Schedule, TransmissionRequest, _Record, compute_duration
+from .core import TransmissionRequest, _Record, compute_duration
 from .scenario import ScenarioSpec
 from .schedulers import (
     ScheduleResult,
@@ -26,7 +26,7 @@ from .schedulers import (
     random_schedule,
     tsgs_schedule,
 )
-from .simulator import ChannelConfig, collision_summary, pdr, simulate
+from .simulator import collision_summary, pdr, simulate
 
 NATIVE_WINDOW = -1
 
@@ -318,11 +318,30 @@ class SchedulerSummary(_Record):
         object.__setattr__(self, "mean_delay_us", mean_delay_us)
 
 
+class _FrozenDict(dict):
+    """A dict that refuses every change and hashes by its items."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} does not support changes")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class ComparisonSummary(_Record):
     """Per-scheduler means plus the headline PDR gap.
 
     ``pdr_gap`` is the greedy scheduler's mean PDR minus the random
     baseline's, or None when either is absent from the table.
+    ``per_scheduler`` is kept as a read-only dict, so the summary hashes.
     """
 
     __slots__ = ("per_scheduler", "pdr_gap")
@@ -332,7 +351,7 @@ class ComparisonSummary(_Record):
     def __init__(
         self, per_scheduler: dict[str, SchedulerSummary], pdr_gap: float | None
     ) -> None:
-        object.__setattr__(self, "per_scheduler", per_scheduler)
+        object.__setattr__(self, "per_scheduler", _FrozenDict(per_scheduler))
         object.__setattr__(self, "pdr_gap", pdr_gap)
 
 

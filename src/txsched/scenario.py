@@ -28,7 +28,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from .core import (
-    InadmissibleRequestError,
     TimeSpan,
     TransmissionRequest,
     _Record,

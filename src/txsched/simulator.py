@@ -21,12 +21,12 @@ is counted as collided at all receivers, though each still occupies the
 channel for its full airtime. Airtime intervals are half-open, so a packet
 starting exactly when another ends is clean.
 
-Determinism is absolute: the event queue is ordered by
-(time, priority, position), with transmission endings resolved before
-same-instant sense/timer decisions, and those before same-instant
-transmission starts. Senders whose access decisions land on the same
-instant therefore transmit together and collide, with no hidden jitter.
-Identical (requests, schedule, channel config, seed) reproduce
+Determinism is absolute: events are taken in (time, priority, position)
+order, with transmission endings resolved before same-instant sense/timer
+decisions, and every sender that commits at an instant starts only once
+no decision remains at it. Senders whose access decisions land on the
+same instant therefore transmit together and collide, with no hidden
+jitter. Identical (requests, schedule, channel config, seed) reproduce
 byte-identical reports.
 
 A sender's identity is its position in the request list: it breaks
@@ -38,22 +38,33 @@ counts: the channel keeps one clock of idle slots counted, and a deferring
 sender stores the target clock + b. At an idle edge t the holders of the
 least target L commit at t + aifs + (L - clock) * slot_time. At the next
 busy edge T the clock advances by (T - t - aifs) // slot_time (a slot
-ending exactly at T counts, as decisions resolve before starts) and a
-channel epoch voids every pending commit. The live targets are dict keys
-with a heap beside them, not a ring of cw buckets, as cw has no upper
-bound. So an edge costs O(1) beyond its fresh draws (in position order,
-from the shared RNG) and its earliest commits.
+ending exactly at T counts, as decisions resolve before starts). The live
+targets are dict keys with a heap beside them, not a ring of cw buckets,
+as cw has no upper bound. So an edge costs O(1) beyond its fresh draws
+(in position order, from the shared RNG) and its earliest commits.
+
+Every pending commit (an AIFS-waiter's, or a least-target holder's) is a
+timer in a second, small heap beside the event heap; the loop takes the
+smaller top of the two. Any commit pending at a busy edge is void, so the
+edge clears the timer heap outright and nothing void is ever popped. A
+commit does not queue its start: the sender joins a list of those
+committed at the current instant, and once neither heap holds another
+event at that instant they start in position order, colliding if more
+than one starts or the channel is already busy. A contended packet thus
+costs a few heap operations: its sense, its commit and its end.
 
 A packet that nothing can contend with costs no events at all. When a
 sender senses an idle channel, no other sender is waiting out an AIFS or
 counting down, and no queued event falls before the packet's end at
 now + aifs + airtime, its AIFS, start and end run inline. The countdown
 check matters even when the heap test passes: only the earliest
-contenders have an event queued, and a later one must still see this
-packet's busy edge. An event at exactly the end may stay queued, since an
-ending resolves before anything else at its instant. Trace lines, outcome
-accounting and the ambient-loss draw happen where the queued events would
-have made them, so the RNG order and every output byte are unchanged.
+contenders have a timer queued, and a later one must still see this
+packet's busy edge; so must a sender that has committed at this instant
+and not yet started. An event at exactly the end may stay queued, since
+an ending resolves before anything else at its instant. Trace lines,
+outcome accounting and the ambient-loss draw happen where the queued
+events would have made them, so the RNG order and every output byte are
+unchanged.
 
 Without a trace, a sender whose packet runs inline also runs, in one step,
 every further packet of its train that ends by the next queued event (the
@@ -74,16 +85,17 @@ import random
 from .core import Schedule, TimePoint, TimeSpan, TransmissionRequest, _Record
 
 # Same-instant resolution order. Endings free the channel before anyone
-# senses; all starts commit after every decision made at that instant.
+# senses or commits; senders that commit start once every decision made at
+# that instant is done, outside the heaps.
 _PRIO_TX_END = 0
 _PRIO_DECISION = 1
-_PRIO_TX_START = 2
 
-# Event kinds. A commit is a timer: it carries the channel epoch and is
-# dropped once a busy edge has moved the epoch on. A countdown mark only
-# prints the "backoff-aifs->backoff-countdown" line where a contender's
-# AIFS ends, and is pushed only when a trace is kept.
-_TX_END, _SENSE, _TX_START, _COMMIT, _COUNTDOWN_MARK = range(5)
+# Event kinds. Packet ends and senses go in the event heap; commits and
+# countdown marks are timers, kept in a second heap that a busy edge
+# clears. A countdown mark only prints the "backoff-aifs->backoff-countdown"
+# line where a contender's AIFS ends, and is pushed only when a trace is
+# kept.
+_TX_END, _SENSE, _COMMIT, _COUNTDOWN_MARK = range(4)
 
 PHASES = (
     "idle-until-start",
@@ -298,18 +310,24 @@ def _run(
     """Advance every sender through its whole train; return the number of
     backoff activations.
 
-    Heap entries are ``(time, priority, position, kind, token)``, all
-    ints; ``token`` is the channel epoch, read only for timer kinds. The
-    handlers are inlined here. Only a trace makes an edge visit every
-    sender (in position order, for its line and its phase).
+    Entries of both heaps are ``(time, priority, position, kind)``, all
+    ints: ``heap`` holds senses and packet ends, ``timers`` commits and
+    countdown marks. A busy edge clears ``timers``; every entry still in
+    it is live. A commit appends its sender to ``starting``, and the
+    start block at the end of an iteration runs once neither heap holds
+    an event at ``now``. The handlers are inlined here. Only a trace makes
+    an edge visit every sender (in position order, for its line and its
+    phase).
 
     Senses and packet ends share one block, so a packet run inline (see
     the module docstring) is accounted for by the same code as a queued
     one. ``deferred`` is empty whenever a packet runs inline, so an inline
     end is never an idle edge. After any end the sender's next sense runs
-    at once, unless another event is queued at that instant. Without a
-    trace, an inline packet first takes the packets of its train before the
-    last one that ends by the heap's top time in one arithmetic step.
+    at once, unless another event or timer is queued at that instant;
+    ``starting`` is always empty at an end, as endings resolve first and
+    an inline packet needs it empty. Without a trace, an inline packet
+    first takes the packets of its train before the last one that ends by
+    the heap's top time in one arithmetic step.
     """
     rng = random.Random(seed)
     aifs = channel.aifs
@@ -325,9 +343,10 @@ def _run(
     deferred: dict[int, set[int]] = {}
     targets: list[int] = []  # min-heap of deferred's keys
     clock = 0  # idle slots counted down by every deferred sender
-    epoch = 0  # bumped at every busy edge; voids older commits
     idle_since = 0
     activations = 0
+    timers: list[tuple[int, int, int, int]] = []  # commits and marks
+    starting: list[int] = []  # committed at now, in position order
 
     def defer(p: int) -> None:
         # draw a fresh backoff for sender p and file it under its target
@@ -338,16 +357,15 @@ def _run(
             push(targets, target)
         deferred[target].add(p)
 
-    heap = [
-        (s.scheduled_start, _PRIO_DECISION, s.position, _SENSE, 0) for s in senders
-    ]
+    heap = [(s.scheduled_start, _PRIO_DECISION, s.position, _SENSE) for s in senders]
     heapq.heapify(heap)
-    while heap:
-        now, _prio, pos, kind, token = pop(heap)
+    while heap or timers:
+        if timers and (not heap or timers[0] < heap[0]):
+            now, _prio, pos, kind = pop(timers)
+        else:
+            now, _prio, pos, kind = pop(heap)
         s = senders[pos]
         if kind == _COMMIT:
-            if token != epoch:
-                continue  # cancelled by a busy edge
             if trace is not None:
                 trace.append(f"{now} c{pos} {PHASES[s.phase]}->tx-pending")
             if s.phase == _AIFS_WAIT:
@@ -359,46 +377,11 @@ def _run(
                     del deferred[s.backoff_target]
                     pop(targets)
             s.phase = _TX_PENDING
-            push(heap, (now, _PRIO_TX_START, pos, _TX_START, 0))
-
-        elif kind == _TX_START:
-            if trace is not None:
-                trace.append(f"{now} c{pos} tx-pending->transmitting")
-            s.phase = _TRANSMITTING
-            push(heap, (now + s.airtime, _PRIO_TX_END, pos, _TX_END, 0))
-            if active:
-                # overlap on start destroys every packet in the air, ours included
-                for other in active.values():
-                    other.current_collided = True
-                s.current_collided = True
-                active[pos] = s
-                continue
-            s.current_collided = False
-            active[pos] = s
-            if not (waiting or deferred):
-                continue
-            # busy edge: void every commit and freeze every countdown at once
-            epoch += 1
-            if deferred:
-                clock += (now - idle_since - aifs) // slot
-            if trace is not None:
-                for other in senders:
-                    if other.phase in (_AIFS_WAIT, _BACKOFF_AIFS, _BACKOFF_COUNTDOWN):
-                        trace.append(
-                            f"{now} c{other.position} "
-                            f"{PHASES[other.phase]}->backoff-wait-idle"
-                        )
-                        other.phase = _BACKOFF_WAIT_IDLE
-            if waiting:
-                for p in sorted(waiting):  # fresh draws in input order
-                    defer(p)
-                activations += len(waiting)
-                waiting.clear()
+            starting.append(pos)
 
         elif kind == _COUNTDOWN_MARK:  # only with a trace
-            if token == epoch:
-                trace.append(f"{now} c{pos} backoff-aifs->backoff-countdown")
-                s.phase = _BACKOFF_COUNTDOWN
+            trace.append(f"{now} c{pos} backoff-aifs->backoff-countdown")
+            s.phase = _BACKOFF_COUNTDOWN
 
         else:
             # a sense or a packet end, then the same sender's next ones
@@ -417,9 +400,9 @@ def _run(
                     if trace is not None:
                         trace.append(f"{now} c{pos} sensing->aifs-wait")
                     end = now + aifs + s.airtime
-                    if waiting or deferred or (heap and heap[0][0] < end):
+                    if waiting or deferred or starting or (heap and heap[0][0] < end):
                         s.phase = _AIFS_WAIT
-                        push(heap, (now + aifs, _PRIO_DECISION, pos, _COMMIT, epoch))
+                        push(timers, (now + aifs, _PRIO_DECISION, pos, _COMMIT))
                         waiting.add(pos)
                         break
                     # uncontended: no other event comes before this packet's
@@ -480,7 +463,7 @@ def _run(
                     least = targets[0]
                     commit_at = now + aifs + (least - clock) * slot
                     for p in deferred[least]:
-                        push(heap, (commit_at, _PRIO_DECISION, p, _COMMIT, epoch))
+                        push(timers, (commit_at, _PRIO_DECISION, p, _COMMIT))
                     if trace is not None:
                         for other in senders:
                             if other.phase != _BACKOFF_WAIT_IDLE:
@@ -491,18 +474,60 @@ def _run(
                             )
                             other.phase = _BACKOFF_AIFS
                             if other.backoff_target != clock:
-                                push(heap, (now + aifs, _PRIO_DECISION, other.position,
-                                            _COUNTDOWN_MARK, epoch))
+                                push(timers, (now + aifs, _PRIO_DECISION,
+                                              other.position, _COUNTDOWN_MARK))
                 if s.packets_remaining == 0:
                     if trace is not None:
                         trace.append(f"{now} c{pos} transmitting->done")
                     s.phase = _DONE
                     break
-                if heap and heap[0][0] <= now:
+                if (heap and heap[0][0] <= now) or (timers and timers[0][0] <= now):
                     # another event at this instant may resolve first
-                    push(heap, (now, _PRIO_DECISION, pos, _SENSE, 0))
+                    push(heap, (now, _PRIO_DECISION, pos, _SENSE))
                     break
                 kind = _SENSE
+
+        if not starting or (heap and heap[0][0] == now) or (
+            timers and timers[0][0] == now
+        ):
+            continue
+        # every decision at this instant is made: the committed senders
+        # start, in position order
+        for pos in starting:
+            s = senders[pos]
+            if trace is not None:
+                trace.append(f"{now} c{pos} tx-pending->transmitting")
+            s.phase = _TRANSMITTING
+            push(heap, (now + s.airtime, _PRIO_TX_END, pos, _TX_END))
+            if active:
+                # overlap on start destroys every packet in the air, ours included
+                for other in active.values():
+                    other.current_collided = True
+                s.current_collided = True
+                active[pos] = s
+                continue
+            s.current_collided = False
+            active[pos] = s
+            if not (waiting or deferred):
+                continue
+            # busy edge: drop every pending commit and freeze every countdown
+            timers.clear()
+            if deferred:
+                clock += (now - idle_since - aifs) // slot
+            if trace is not None:
+                for other in senders:
+                    if other.phase in (_AIFS_WAIT, _BACKOFF_AIFS, _BACKOFF_COUNTDOWN):
+                        trace.append(
+                            f"{now} c{other.position} "
+                            f"{PHASES[other.phase]}->backoff-wait-idle"
+                        )
+                        other.phase = _BACKOFF_WAIT_IDLE
+            if waiting:
+                for p in sorted(waiting):  # fresh draws in input order
+                    defer(p)
+                activations += len(waiting)
+                waiting.clear()
+        starting.clear()
     return activations
 
 

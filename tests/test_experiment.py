@@ -205,6 +205,30 @@ class TestComparison:
         assert summary.per_scheduler["tsgs"].mean_pdr == pytest.approx(1.0)
         assert summary.per_scheduler["random"].mean_pdr == pytest.approx(0.8)
 
+    def test_per_scheduler_is_read_only(self):
+        rows = tuple(
+            synthetic_row(name, seed, p)
+            for name, p in (("tsgs", 1.0), ("random", 0.8))
+            for seed in (1, 2)
+        )
+        summary = report_comparison(SweepTable(connections=2, rows=rows))
+        before = format_summary(summary)
+        tsgs = summary.per_scheduler["tsgs"]
+        with pytest.raises(TypeError):
+            summary.per_scheduler["tsgs"] = summary.per_scheduler["random"]
+        for change in (
+            lambda d: d.pop("tsgs"),
+            lambda d: d.update(x=tsgs),
+            lambda d: d.setdefault("x", tsgs),
+            lambda d: d.clear(),
+        ):
+            with pytest.raises(TypeError):
+                change(summary.per_scheduler)
+        with pytest.raises(TypeError):
+            del summary.per_scheduler["tsgs"]
+        assert format_summary(summary) == before
+        assert hash(summary) == hash(report_comparison(SweepTable(2, rows)))
+
     def test_single_scheduler_rejected(self):
         rows = (synthetic_row("tsgs", 1, 1.0), synthetic_row("tsgs", 2, 0.9))
         with pytest.raises(MissingSchedulerError):

@@ -288,6 +288,9 @@ EDGE_CASES = {
         ChannelConfig(),
         3,
     ),
+    # the same instant with the positions swapped: c0's first sense
+    # resolves before c1's commit, then defers at c1's busy edge
+    "start-at-commit-lower-position": ([_OTHER, _TRAIN], (58, 0), ChannelConfig(), 3),
     # no AIFS: a sense is a commit, and the packet ends one airtime later
     "aifs-0": (
         [_TRAIN, _OTHER, TransmissionRequest(2, 10_000, 2, 23)],
@@ -317,6 +320,23 @@ EDGE_CASES = {
         ChannelConfig(ambient_loss_rate=0.3),
         3,
     ),
+    # no AIFS, one-slot backoffs: c0 defers at c0's own end (1) and, at
+    # c1's end (2), commits at that very instant; c1's next sense waits
+    # behind the commit, which a queued timer at the end's instant decides
+    "commit-at-packet-end": (
+        [TransmissionRequest(0, 0, 2, 1), TransmissionRequest(1, 0, 2, 2)],
+        (0, 0),
+        ChannelConfig(slot_time=1, aifs=0, cw=1),
+        0,
+    ),
+    # c1 and c3 defer on c0's packet and, with cw 1, commit at its idle
+    # edge (81) + 58 = 139; c2 senses idle at 81 and commits at 139 too
+    "holder-and-waiter-commit-together": (
+        [TransmissionRequest(i, 10_000, 1, 23) for i in range(4)],
+        (0, 60, 81, 62),
+        ChannelConfig(cw=1),
+        4,
+    ),
 }
 
 
@@ -324,6 +344,21 @@ EDGE_CASES = {
 def test_simulate_edges_equal_reference(name):
     requests, starts, channel, seed = EDGE_CASES[name]
     assert_simulate_equals_reference(requests, Schedule(starts), channel, seed)
+
+
+def test_holder_and_waiter_commit_in_position_order():
+    # the holders' commits and the waiter's commit share one instant and
+    # resolve by position, before any of the three starts
+    requests, starts, channel, seed = EDGE_CASES["holder-and-waiter-commit-together"]
+    trace = assert_simulate_equals_reference(requests, Schedule(starts), channel, seed)
+    assert [line for line in trace if line.startswith("139 ")] == [
+        "139 c1 backoff-aifs->tx-pending",
+        "139 c2 aifs-wait->tx-pending",
+        "139 c3 backoff-aifs->tx-pending",
+        "139 c1 tx-pending->transmitting",
+        "139 c2 tx-pending->transmitting",
+        "139 c3 tx-pending->transmitting",
+    ]
 
 
 def test_idle_sense_with_pending_contender_equals_reference():
