@@ -1,6 +1,8 @@
 import copy
+import inspect
 import pickle
 import random
+import re
 
 import pytest
 
@@ -319,6 +321,89 @@ class TestRecordSemantics:
         assert copy.copy(record) == record
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+# the defaults of every constructor, by class; a field not named here is
+# required
+DEFAULTS = {
+    TransmissionRequest: {"per_packet_overhead": 0},
+    ChannelConfig: {"slot_time": 13, "aifs": 58, "cw": 15, "ambient_loss_rate": 0.0},
+    SchedulerConfig: {"margin": 0, "ordering": "input-order"},
+    ScenarioSpec: {"sweep": None},
+}
+
+
+@pytest.mark.parametrize(
+    "cls, fields, change", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_constructor_signature(cls, fields, change):
+    parameters = inspect.signature(cls).parameters
+    assert tuple(parameters) == cls.__slots__
+    defaults = {
+        name: p.default
+        for name, p in parameters.items()
+        if p.default is not inspect.Parameter.empty
+    }
+    assert defaults == DEFAULTS.get(cls, {})
+    assert all(
+        p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in parameters.values()
+    )
+    name = re.escape(f"{cls.__name__}.__init__()")
+    if len(defaults) < len(parameters):
+        with pytest.raises(TypeError, match=f"^{name} missing"):
+            cls()
+    with pytest.raises(TypeError, match=f"^{name} got an unexpected keyword"):
+        cls(**fields, no_such_field=1)
+
+# every check a constructor makes, with one failing field and its full
+# message
+_VALID = {
+    TransmissionRequest: _REQUEST,
+    ChannelConfig: {},
+    SchedulerConfig: {"step": 81},
+    WindowSweep: {"start": 243, "stop": 729, "step": 243},
+}
+CHECKS = [
+    (TransmissionRequest, {"id": -1}, "connection id must be >= 0, got -1"),
+    (TransmissionRequest, {"deadline": -1}, "deadline must be >= 0, got -1"),
+    (TransmissionRequest, {"packet_count": 0}, "packet_count must be >= 1, got 0"),
+    (TransmissionRequest, {"packet_airtime": 0}, "packet_airtime must be > 0, got 0"),
+    (
+        TransmissionRequest,
+        {"per_packet_overhead": -1},
+        "per_packet_overhead must be >= 0, got -1",
+    ),
+    (ChannelConfig, {"slot_time": 0}, "slot_time must be > 0, got 0"),
+    (ChannelConfig, {"aifs": -1}, "aifs must be >= 0, got -1"),
+    (ChannelConfig, {"cw": 0}, "cw must be >= 1, got 0"),
+    (
+        ChannelConfig,
+        {"ambient_loss_rate": 1.5},
+        "ambient_loss_rate must be in [0, 1], got 1.5",
+    ),
+    (SchedulerConfig, {"step": 0}, "step must be > 0, got 0"),
+    (SchedulerConfig, {"margin": -1}, "margin must be >= 0, got -1"),
+    (
+        SchedulerConfig,
+        {"ordering": "sideways"},
+        "ordering must be one of ('input-order', 'deadline-ascending'), "
+        "got 'sideways'",
+    ),
+    (WindowSweep, {"step": 0}, "sweep step must be > 0, got 0"),
+    (WindowSweep, {"start": -1}, "sweep start must be >= 0, got -1"),
+    (WindowSweep, {"stop": 242}, "sweep stop 242 is below start 243"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, bad, message",
+    CHECKS,
+    ids=[f"{cls.__name__}-{next(iter(bad))}" for cls, bad, _ in CHECKS],
+)
+def test_check_message(cls, bad, message):
+    with pytest.raises(ValueError) as info:
+        cls(**{**_VALID[cls], **bad})
+    assert str(info.value) == message
 
 
 def test_equal_fields_of_another_type_differ():
