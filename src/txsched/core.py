@@ -21,16 +21,42 @@ TimeSpan = int
 class _Record:
     """Shared behaviour of the package's immutable value types.
 
-    A subclass lists its fields in ``__slots__``, in constructor order,
-    and writes its own ``__init__``, setting each field through
-    ``object.__setattr__``. Records compare and hash as the tuple of their
-    fields, and only to records of the same class; ``repr`` reads
-    ``Name(field=value, ...)``. ``replace``, ``copy``, ``deepcopy`` and
-    ``pickle`` all rebuild a record through its constructor, so every copy
-    is validated again.
+    A subclass declares its fields once, in ``__slots__``, in constructor
+    order. Trailing fields may take defaults from a ``_defaults`` dict of
+    field name to value. When the subclass is created, ``_Record`` writes
+    its ``__init__``: one parameter per field, each field set in turn,
+    then ``self._check()`` if the subclass defines one. ``_check`` reads
+    the fields and raises ``ValueError`` on a bad value. A subclass that
+    must convert a value before storing it (``ComparisonSummary`` keeps a
+    read-only copy of its dict) writes its own ``__init__``, setting each
+    field through ``object.__setattr__``.
+
+    Records compare and hash as the tuple of their fields, and only to
+    records of the same class; ``repr`` reads ``Name(field=value, ...)``.
+    ``replace``, ``copy``, ``deepcopy`` and ``pickle`` all rebuild a
+    record through its constructor, so every copy is checked again.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            return
+        defaults = cls.__dict__.get("_defaults", {})
+        parameters = ", ".join(
+            f"{name}=_defaults[{name!r}]" if name in defaults else name
+            for name in cls.__slots__
+        )
+        lines = [f"    _set(self, {name!r}, {name})" for name in cls.__slots__]
+        if hasattr(cls, "_check"):
+            lines.append("    self._check()")
+        namespace = {"_set": object.__setattr__, "_defaults": defaults}
+        exec(f"def __init__(self, {parameters}):\n" + "\n".join(lines), namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -77,37 +103,26 @@ class TransmissionRequest(_Record):
 
     __slots__ = ("id", "deadline", "packet_count", "packet_airtime",
                  "per_packet_overhead")
+    _defaults = {"per_packet_overhead": 0}
     id: int
     deadline: TimePoint
     packet_count: int
     packet_airtime: TimeSpan
     per_packet_overhead: TimeSpan
 
-    def __init__(
-        self,
-        id: int,
-        deadline: TimePoint,
-        packet_count: int,
-        packet_airtime: TimeSpan,
-        per_packet_overhead: TimeSpan = 0,
-    ) -> None:
-        if id < 0:
-            raise ValueError(f"connection id must be >= 0, got {id}")
-        if deadline < 0:
-            raise ValueError(f"deadline must be >= 0, got {deadline}")
-        if packet_count < 1:
-            raise ValueError(f"packet_count must be >= 1, got {packet_count}")
-        if packet_airtime <= 0:
-            raise ValueError(f"packet_airtime must be > 0, got {packet_airtime}")
-        if per_packet_overhead < 0:
+    def _check(self) -> None:
+        if self.id < 0:
+            raise ValueError(f"connection id must be >= 0, got {self.id}")
+        if self.deadline < 0:
+            raise ValueError(f"deadline must be >= 0, got {self.deadline}")
+        if self.packet_count < 1:
+            raise ValueError(f"packet_count must be >= 1, got {self.packet_count}")
+        if self.packet_airtime <= 0:
+            raise ValueError(f"packet_airtime must be > 0, got {self.packet_airtime}")
+        if self.per_packet_overhead < 0:
             raise ValueError(
-                f"per_packet_overhead must be >= 0, got {per_packet_overhead}"
+                f"per_packet_overhead must be >= 0, got {self.per_packet_overhead}"
             )
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "deadline", deadline)
-        object.__setattr__(self, "packet_count", packet_count)
-        object.__setattr__(self, "packet_airtime", packet_airtime)
-        object.__setattr__(self, "per_packet_overhead", per_packet_overhead)
 
 
 class Schedule(_Record):
@@ -115,9 +130,6 @@ class Schedule(_Record):
 
     __slots__ = ("starts",)
     starts: tuple[TimePoint, ...]
-
-    def __init__(self, starts: tuple[TimePoint, ...]) -> None:
-        object.__setattr__(self, "starts", starts)
 
 
 def compute_duration(request: TransmissionRequest) -> TimeSpan:

@@ -57,28 +57,6 @@ class SweepRow(_Record):
     received: tuple[int | float, ...]
     mean_delay_us: float
 
-    def __init__(
-        self,
-        window_us: int,
-        scheduler: str,
-        seed: int | str,
-        pdr: float,
-        cost_us: int | float,
-        candidate_evals: int | float,
-        collisions: tuple[int | float, ...],
-        received: tuple[int | float, ...],
-        mean_delay_us: float,
-    ) -> None:
-        object.__setattr__(self, "window_us", window_us)
-        object.__setattr__(self, "scheduler", scheduler)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "pdr", pdr)
-        object.__setattr__(self, "cost_us", cost_us)
-        object.__setattr__(self, "candidate_evals", candidate_evals)
-        object.__setattr__(self, "collisions", collisions)
-        object.__setattr__(self, "received", received)
-        object.__setattr__(self, "mean_delay_us", mean_delay_us)
-
     @property
     def is_aggregate(self) -> bool:
         return self.seed == "mean"
@@ -91,15 +69,8 @@ class SweepTable(_Record):
     connections: int
     rows: tuple[SweepRow, ...]
 
-    def __init__(self, connections: int, rows: tuple[SweepRow, ...]) -> None:
-        object.__setattr__(self, "connections", connections)
-        object.__setattr__(self, "rows", rows)
-
     def seed_rows(self) -> tuple[SweepRow, ...]:
         return tuple(r for r in self.rows if not r.is_aggregate)
-
-    def aggregate_rows(self) -> tuple[SweepRow, ...]:
-        return tuple(r for r in self.rows if r.is_aggregate)
 
 
 def rescale_requests(
@@ -309,13 +280,6 @@ class SchedulerSummary(_Record):
     mean_pdr: float
     mean_collided: float
     mean_delay_us: float
-
-    def __init__(
-        self, mean_pdr: float, mean_collided: float, mean_delay_us: float
-    ) -> None:
-        object.__setattr__(self, "mean_pdr", mean_pdr)
-        object.__setattr__(self, "mean_collided", mean_collided)
-        object.__setattr__(self, "mean_delay_us", mean_delay_us)
 
 
 class _FrozenDict(dict):

@@ -55,16 +55,13 @@ class WindowSweep(_Record):
     stop: TimeSpan
     step: TimeSpan
 
-    def __init__(self, start: TimeSpan, stop: TimeSpan, step: TimeSpan) -> None:
-        if step <= 0:
-            raise ValueError(f"sweep step must be > 0, got {step}")
-        if start < 0:
-            raise ValueError(f"sweep start must be >= 0, got {start}")
-        if stop < start:
-            raise ValueError(f"sweep stop {stop} is below start {start}")
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "stop", stop)
-        object.__setattr__(self, "step", step)
+    def _check(self) -> None:
+        if self.step <= 0:
+            raise ValueError(f"sweep step must be > 0, got {self.step}")
+        if self.start < 0:
+            raise ValueError(f"sweep start must be >= 0, got {self.start}")
+        if self.stop < self.start:
+            raise ValueError(f"sweep stop {self.stop} is below start {self.start}")
 
     def points(self) -> range:
         """The window sizes, start to stop inclusive; a ``range``, so its
@@ -77,28 +74,13 @@ class ScenarioSpec(_Record):
 
     __slots__ = ("requests", "schedulers", "scheduler_config", "channel",
                  "seeds", "sweep")
+    _defaults = {"sweep": None}
     requests: tuple[TransmissionRequest, ...]
     schedulers: tuple[str, ...]
     scheduler_config: SchedulerConfig
     channel: ChannelConfig
     seeds: tuple[int, ...]
     sweep: WindowSweep | None
-
-    def __init__(
-        self,
-        requests: tuple[TransmissionRequest, ...],
-        schedulers: tuple[str, ...],
-        scheduler_config: SchedulerConfig,
-        channel: ChannelConfig,
-        seeds: tuple[int, ...],
-        sweep: WindowSweep | None = None,
-    ) -> None:
-        object.__setattr__(self, "requests", requests)
-        object.__setattr__(self, "schedulers", schedulers)
-        object.__setattr__(self, "scheduler_config", scheduler_config)
-        object.__setattr__(self, "channel", channel)
-        object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "sweep", sweep)
 
 
 def _fail(source: str, lineno: int, message: str) -> None:

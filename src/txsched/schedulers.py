@@ -72,24 +72,20 @@ class SchedulerConfig(_Record):
     """
 
     __slots__ = ("step", "margin", "ordering")
+    _defaults = {"margin": 0, "ordering": "input-order"}
     step: TimeSpan
     margin: TimeSpan
     ordering: str
 
-    def __init__(
-        self, step: TimeSpan, margin: TimeSpan = 0, ordering: str = "input-order"
-    ) -> None:
-        if step <= 0:
-            raise ValueError(f"step must be > 0, got {step}")
-        if margin < 0:
-            raise ValueError(f"margin must be >= 0, got {margin}")
-        if ordering not in ORDERINGS:
+    def _check(self) -> None:
+        if self.step <= 0:
+            raise ValueError(f"step must be > 0, got {self.step}")
+        if self.margin < 0:
+            raise ValueError(f"margin must be >= 0, got {self.margin}")
+        if self.ordering not in ORDERINGS:
             raise ValueError(
-                f"ordering must be one of {ORDERINGS}, got {ordering!r}"
+                f"ordering must be one of {ORDERINGS}, got {self.ordering!r}"
             )
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "margin", margin)
-        object.__setattr__(self, "ordering", ordering)
 
 
 class ScheduleResult(_Record):
@@ -107,13 +103,6 @@ class ScheduleResult(_Record):
     schedule: Schedule
     cost: TimeSpan
     candidate_evaluations: int
-
-    def __init__(
-        self, schedule: Schedule, cost: TimeSpan, candidate_evaluations: int
-    ) -> None:
-        object.__setattr__(self, "schedule", schedule)
-        object.__setattr__(self, "cost", cost)
-        object.__setattr__(self, "candidate_evaluations", candidate_evaluations)
 
 
 def candidate_grid(request: TransmissionRequest, config: SchedulerConfig) -> range:

@@ -131,32 +131,23 @@ class ChannelConfig(_Record):
     """
 
     __slots__ = ("slot_time", "aifs", "cw", "ambient_loss_rate")
+    _defaults = {"slot_time": 13, "aifs": 58, "cw": 15, "ambient_loss_rate": 0.0}
     slot_time: TimeSpan
     aifs: TimeSpan
     cw: int
     ambient_loss_rate: float
 
-    def __init__(
-        self,
-        slot_time: TimeSpan = 13,
-        aifs: TimeSpan = 58,
-        cw: int = 15,
-        ambient_loss_rate: float = 0.0,
-    ) -> None:
-        if slot_time <= 0:
-            raise ValueError(f"slot_time must be > 0, got {slot_time}")
-        if aifs < 0:
-            raise ValueError(f"aifs must be >= 0, got {aifs}")
-        if cw < 1:
-            raise ValueError(f"cw must be >= 1, got {cw}")
-        if not 0.0 <= ambient_loss_rate <= 1.0:
+    def _check(self) -> None:
+        if self.slot_time <= 0:
+            raise ValueError(f"slot_time must be > 0, got {self.slot_time}")
+        if self.aifs < 0:
+            raise ValueError(f"aifs must be >= 0, got {self.aifs}")
+        if self.cw < 1:
+            raise ValueError(f"cw must be >= 1, got {self.cw}")
+        if not 0.0 <= self.ambient_loss_rate <= 1.0:
             raise ValueError(
-                f"ambient_loss_rate must be in [0, 1], got {ambient_loss_rate}"
+                f"ambient_loss_rate must be in [0, 1], got {self.ambient_loss_rate}"
             )
-        object.__setattr__(self, "slot_time", slot_time)
-        object.__setattr__(self, "aifs", aifs)
-        object.__setattr__(self, "cw", cw)
-        object.__setattr__(self, "ambient_loss_rate", ambient_loss_rate)
 
 
 class SenderState:
@@ -226,24 +217,6 @@ class ConnectionStats(_Record):
     delay_total_us: int
     realized_duration_us: TimeSpan
 
-    def __init__(
-        self,
-        sent: int,
-        received: int,
-        collided: int,
-        ambient_lost: int,
-        delivered_late: int,
-        delay_total_us: int,
-        realized_duration_us: TimeSpan,
-    ) -> None:
-        object.__setattr__(self, "sent", sent)
-        object.__setattr__(self, "received", received)
-        object.__setattr__(self, "collided", collided)
-        object.__setattr__(self, "ambient_lost", ambient_lost)
-        object.__setattr__(self, "delivered_late", delivered_late)
-        object.__setattr__(self, "delay_total_us", delay_total_us)
-        object.__setattr__(self, "realized_duration_us", realized_duration_us)
-
     @property
     def mean_delay_us(self) -> float:
         return self.delay_total_us / self.sent if self.sent else 0.0
@@ -255,12 +228,6 @@ class SimReport(_Record):
     __slots__ = ("per_connection", "backoff_activations")
     per_connection: tuple[ConnectionStats, ...]
     backoff_activations: int
-
-    def __init__(
-        self, per_connection: tuple[ConnectionStats, ...], backoff_activations: int
-    ) -> None:
-        object.__setattr__(self, "per_connection", per_connection)
-        object.__setattr__(self, "backoff_activations", backoff_activations)
 
     @property
     def total_sent(self) -> int:

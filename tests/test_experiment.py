@@ -68,7 +68,7 @@ class TestRunExperiment:
         table = small_table()
         # 3 sweep points x 3 schedulers x 3 seeds, plus 9 aggregates
         assert len(table.seed_rows()) == 27
-        assert len(table.aggregate_rows()) == 9
+        assert sum(r.is_aggregate for r in table.rows) == 9
         assert table.connections == 2
 
     def test_rows_sorted_by_window_scheduler_seed(self):
@@ -91,7 +91,7 @@ class TestRunExperiment:
 
     def test_aggregate_means(self):
         table = small_table()
-        for agg in table.aggregate_rows():
+        for agg in (r for r in table.rows if r.is_aggregate):
             group = [
                 r
                 for r in table.seed_rows()

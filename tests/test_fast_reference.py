@@ -280,14 +280,8 @@ EDGE_CASES = {
     # senses the last microsecond of a packet and defers
     "start-before-packet-end": ([_TRAIN, _OTHER], (0, 80), ChannelConfig(), 3),
     # senses after the train's commit, before its start, then defers at
-    # the busy edge; with the ids swapped it senses before the commit
+    # the busy edge
     "start-at-commit": ([_TRAIN, _OTHER], (0, 58), ChannelConfig(), 3),
-    "start-at-commit-lower-id": (
-        [TransmissionRequest(1, 10_000, 3, 23), TransmissionRequest(0, 10_000, 2, 23)],
-        (0, 58),
-        ChannelConfig(),
-        3,
-    ),
     # the same instant with the positions swapped: c0's first sense
     # resolves before c1's commit, then defers at c1's busy edge
     "start-at-commit-lower-position": ([_OTHER, _TRAIN], (58, 0), ChannelConfig(), 3),
