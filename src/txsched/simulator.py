@@ -55,21 +55,32 @@ costs a few heap operations: its sense, its commit and its end.
 
 A packet that nothing can contend with costs no events at all. When a
 sender senses an idle channel, no other sender is waiting out an AIFS or
-counting down, and no queued event falls before the packet's end at
-now + aifs + airtime, its AIFS, start and end run inline. The countdown
-check matters even when the heap test passes: only the earliest
-contenders have a timer queued, and a later one must still see this
-packet's busy edge; so must a sender that has committed at this instant
-and not yet started. An event at exactly the end may stay queued, since
+has committed at this instant and not yet started, and no queued event
+falls before the packet's end at now + aifs + airtime, its AIFS, start
+and end run inline. An event at exactly the end may stay queued, since
 an ending resolves before anything else at its instant. Trace lines,
 outcome accounting and the ambient-loss draw happen where the queued
 events would have made them, so the RNG order and every output byte are
 unchanged.
 
+Deferred senders need not stop an inline packet. If the least-target
+holders' commit (then the timer heap's top) falls strictly after
+now + aifs, every countdown is still frozen when the packet starts, and
+the start is a busy edge done in place: the clock advances by the slots
+the idle period has counted, (now - idle_since) // slot_time, and the
+timers clear. A commit at exactly now + aifs starts together with this
+packet and collides, so it takes the queued route. This is capture: with
+no post-backoff, a sender that has just transmitted senses again at once,
+and while its idle gaps are one AIFS the frozen countdowns count no slot.
+With a trace, any deferred sender keeps the packet queued, so the edge's
+trace lines have one definition.
+
 Without a trace, a sender whose packet runs inline also runs, in one step,
 every further packet of its train that ends by the next queued event (the
 heap's top time h). With period P = aifs + airtime and k packets left,
 m = min(k, (h - now) // P) packets fit, and packet j ends at now + j * P.
+Over frozen senders every packet of the stretch ends in an idle edge and
+starts in a busy edge that counts no slot, so the step holds unchanged.
 Only the ambient-loss draws, in packet order, are taken one by one;
 lateness is end > deadline, and every packet of the stretch lags its
 nominal end by the same amount. The last of the m packets is accounted as
@@ -288,13 +299,14 @@ def _run(
 
     Senses and packet ends share one block, so a packet run inline (see
     the module docstring) is accounted for by the same code as a queued
-    one. ``deferred`` is empty whenever a packet runs inline, so an inline
-    end is never an idle edge. After any end the sender's next sense runs
-    at once, unless another event or timer is queued at that instant;
-    ``starting`` is always empty at an end, as endings resolve first and
-    an inline packet needs it empty. Without a trace, an inline packet
-    first takes the packets of its train before the last one that ends by
-    the heap's top time in one arithmetic step.
+    one. With frozen senders an inline end is an idle edge, which queues
+    the least-target holders' commit, and the next in-place start clears
+    it. After any end the sender's next sense runs at once, unless another
+    event or timer is queued at that instant; ``starting`` is always empty
+    at an end, as endings resolve first and an inline packet needs it
+    empty. Without a trace, an inline packet first takes the packets of its
+    train before the last one that ends by the heap's top time in one
+    arithmetic step.
     """
     rng = random.Random(seed)
     aifs = channel.aifs
@@ -367,13 +379,20 @@ def _run(
                     if trace is not None:
                         trace.append(f"{now} c{pos} sensing->aifs-wait")
                     end = now + aifs + s.airtime
-                    if waiting or deferred or starting or (heap and heap[0][0] < end):
+                    if waiting or starting or (heap and heap[0][0] < end) or (
+                        deferred and (trace is not None or timers[0][0] <= now + aifs)
+                    ):
                         s.phase = _AIFS_WAIT
                         push(timers, (now + aifs, _PRIO_DECISION, pos, _COMMIT))
                         waiting.add(pos)
                         break
                     # uncontended: no other event comes before this packet's
                     # end, and at the end its own ending resolves first
+                    if deferred:
+                        # every countdown is frozen past this start: its
+                        # busy edge, in place
+                        clock += (now - idle_since) // slot
+                        timers.clear()
                     if trace is not None:
                         trace.append(f"{now + aifs} c{pos} aifs-wait->tx-pending")
                         trace.append(f"{now + aifs} c{pos} tx-pending->transmitting")

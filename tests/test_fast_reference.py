@@ -264,6 +264,15 @@ def test_piled_up_simulate_equals_reference(run):
     assert_simulate_equals_reference(*run)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(channel_runs(max_n=8, max_start_slot=20, max_packets=20, max_cw=15))
+def test_captured_simulate_equals_reference(run):
+    # long trains and wide backoffs: a sender that has just transmitted
+    # often captures the channel for many packets over frozen countdowns,
+    # untraced in place and in stretches of one step
+    assert_simulate_equals_reference(*run)
+
+
 # One uncontended train of three packets under the default channel (aifs
 # 58, slot 13): it senses at 0, 81 and 162, commits at 58, 139 and 220,
 # and its packets end at 81, 162 and 243. A second sender starts at one of
@@ -330,6 +339,41 @@ EDGE_CASES = {
         (0, 60, 81, 62),
         ChannelConfig(cw=1),
         4,
+    ),
+    # c1 defers on c0's first packet and, at seed 14, draws 1 slot: at each
+    # of c0's packet ends its commit falls one slot after c0's AIFS, so c0
+    # captures the channel for its whole train over the frozen countdown
+    "capture-over-frozen": (
+        [TransmissionRequest(0, 10_000, 4, 23), TransmissionRequest(1, 10_000, 1, 23)],
+        (0, 60),
+        ChannelConfig(),
+        14,
+    ),
+    # the same at seed 31, which draws 0: c1's commit at 81 + 58 = 139 ties
+    # with c0's, and both start and collide
+    "capture-tie-at-aifs": (
+        [TransmissionRequest(0, 10_000, 4, 23), TransmissionRequest(1, 10_000, 1, 23)],
+        (0, 60),
+        ChannelConfig(),
+        31,
+    ),
+    # c1 freezes 5 slots (seed 7) and its idle period starts at 81; c2's
+    # scheduled start at 112 lies 2 slots and 5 us into it, so c2's start at
+    # 170 counts 2 slots and c1 commits at 193 + 58 + 3 * 13 = 290
+    "start-slots-into-idle": (
+        [TransmissionRequest(i, 10_000, 1, 23) for i in range(3)],
+        (0, 60, 112),
+        ChannelConfig(),
+        7,
+    ),
+    # c0 captures over c1's frozen one-slot countdown; untraced, the step
+    # ends with the packet that ends at c2's queued sense (405), and c0 and
+    # c2 then collide twice before c0 captures the channel again
+    "batched-capture-to-queued-sense": (
+        [_LONG, TransmissionRequest(1, 10_000, 1, 23), _OTHER],
+        (0, 60, 405),
+        ChannelConfig(),
+        14,
     ),
 }
 

@@ -1,5 +1,7 @@
+import heapq
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from txsched import (
     collision_summary,
     pdr,
     simulate,
+    simulator,
 )
 
 
@@ -276,6 +279,33 @@ class TestResourceBound:
             assert c.sent == c.received + c.collided + c.ambient_lost == 20
         assert report.backoff_activations > 0
         assert peak < 1 << 20
+
+    def test_captured_train_pops_events_independent_of_its_length(self, monkeypatch):
+        # c1 freezes a one-slot countdown (seed 14) on c0's first packet;
+        # c0 then captures the channel for the rest of its train, in place
+        # and in one step, so a longer train pops no more events
+        pops = []
+
+        def counted(heap):
+            pops.append(None)
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(
+            simulator,
+            "heapq",
+            SimpleNamespace(
+                heapify=heapq.heapify, heappush=heapq.heappush, heappop=counted
+            ),
+        )
+        counts = []
+        for packets in (10, 40):
+            pops.clear()
+            reqs = [req(id=0, packets=packets), req(id=1)]
+            report = simulate(reqs, Schedule((0, 60)), ChannelConfig(), seed=14)
+            assert report.total_collided == 0
+            assert report.backoff_activations == 1
+            counts.append(len(pops))
+        assert counts[0] == counts[1]
 
 
 class TestAmbientLoss:
