@@ -161,6 +161,16 @@ def window(request: TransmissionRequest, margin: TimeSpan = 0) -> TimeSpan:
     return request.deadline - d - margin
 
 
+def _check_counts(
+    schedule: Schedule, requests: list[TransmissionRequest] | tuple
+) -> None:
+    """Raise ``ValueError`` unless ``schedule`` has one start per request."""
+    if len(schedule.starts) != len(requests):
+        raise ValueError(
+            f"schedule has {len(schedule.starts)} starts for {len(requests)} requests"
+        )
+
+
 def total_cost(schedule: Schedule, requests: list[TransmissionRequest] | tuple) -> TimeSpan:
     """Total pairwise overlap, summed over all ordered pairs (i, j), i != j.
 
@@ -169,10 +179,7 @@ def total_cost(schedule: Schedule, requests: list[TransmissionRequest] | tuple) 
     occupancy intervals covering instant x, the sum equals the integral of
     k(k - 1), taken in one sweep over the sorted endpoints.
     """
-    if len(schedule.starts) != len(requests):
-        raise ValueError(
-            f"schedule has {len(schedule.starts)} starts for {len(requests)} requests"
-        )
+    _check_counts(schedule, requests)
     steps: dict[TimePoint, int] = {}
     for start, req in zip(schedule.starts, requests):
         if start < 0:
@@ -194,10 +201,7 @@ def feasible(
     margin: TimeSpan = 0,
 ) -> bool:
     """True iff every start is >= 0 and start + duration + margin <= deadline."""
-    if len(schedule.starts) != len(requests):
-        raise ValueError(
-            f"schedule has {len(schedule.starts)} starts for {len(requests)} requests"
-        )
+    _check_counts(schedule, requests)
     for start, req in zip(schedule.starts, requests):
         if start < 0 or start + compute_duration(req) + margin > req.deadline:
             return False

@@ -58,10 +58,10 @@ sender senses an idle channel, no other sender is waiting out an AIFS or
 has committed at this instant and not yet started, and no queued event
 falls before the packet's end at now + aifs + airtime, its AIFS, start
 and end run inline. An event at exactly the end may stay queued, since
-an ending resolves before anything else at its instant. Trace lines,
-outcome accounting and the ambient-loss draw happen where the queued
-events would have made them, so the RNG order and every output byte are
-unchanged.
+an ending resolves before anything else at its instant. Outcome
+accounting and the ambient-loss draw happen where the queued events would
+have made them, so the RNG order and every output byte are unchanged. A
+trace keeps every packet on the queued route.
 
 Deferred senders need not stop an inline packet. If the least-target
 holders' commit (then the timer heap's top) falls strictly after
@@ -72,20 +72,18 @@ timers clear. A commit at exactly now + aifs starts together with this
 packet and collides, so it takes the queued route. This is capture: with
 no post-backoff, a sender that has just transmitted senses again at once,
 and while its idle gaps are one AIFS the frozen countdowns count no slot.
-With a trace, any deferred sender keeps the packet queued, so the edge's
-trace lines have one definition.
 
-Without a trace, a sender whose packet runs inline also runs, in one step,
-every further packet of its train that ends by the next queued event (the
-heap's top time h). With period P = aifs + airtime and k packets left,
+A sender whose packet runs inline also runs, in one step, every further
+packet of its train that ends by the next queued event (the heap's top
+time h). With period P = aifs + airtime and k packets left,
 m = min(k, (h - now) // P) packets fit, and packet j ends at now + j * P.
 Over frozen senders every packet of the stretch ends in an idle edge and
 starts in a busy edge that counts no slot, so the step holds unchanged.
 Only the ambient-loss draws, in packet order, are taken one by one;
 lateness is end > deadline, and every packet of the stretch lags its
 nominal end by the same amount. The last of the m packets is accounted as
-a single inline packet, so the train's end, its done transition and a
-re-queue at an instant shared with another event keep one definition.
+a single inline packet, so the train's end and a re-queue at an instant
+shared with another event keep one definition.
 """
 
 from __future__ import annotations
@@ -93,7 +91,9 @@ from __future__ import annotations
 import heapq
 import random
 
-from .core import Schedule, TimePoint, TimeSpan, TransmissionRequest, _Record
+from .core import (
+    Schedule, TimePoint, TimeSpan, TransmissionRequest, _check_counts, _Record,
+)
 
 # Same-instant resolution order. Endings free the channel before anyone
 # senses or commits; senders that commit start once every decision made at
@@ -107,29 +107,6 @@ _PRIO_DECISION = 1
 # line where a contender's AIFS ends, and is pushed only when a trace is
 # kept.
 _TX_END, _SENSE, _COMMIT, _COUNTDOWN_MARK = range(4)
-
-PHASES = (
-    "idle-until-start",
-    "sensing",
-    "aifs-wait",
-    "backoff-wait-idle",
-    "backoff-aifs",
-    "backoff-countdown",
-    "tx-pending",
-    "transmitting",
-    "done",
-)
-(
-    _IDLE_UNTIL_START,
-    _SENSING,
-    _AIFS_WAIT,
-    _BACKOFF_WAIT_IDLE,
-    _BACKOFF_AIFS,
-    _BACKOFF_COUNTDOWN,
-    _TX_PENDING,
-    _TRANSMITTING,
-    _DONE,
-) = range(len(PHASES))
 
 
 class ChannelConfig(_Record):
@@ -164,36 +141,33 @@ class ChannelConfig(_Record):
 class SenderState:
     """Mutable per-connection state advanced by the event loop.
 
-    ``phase`` indexes ``PHASES``; the three backoff-* phases refine the
-    deferred state ("sensing" and "tx-pending" only ever persist within a
-    single instant), and are told apart only with a trace: without one a
-    deferred sender stays "backoff-wait-idle". ``backoff_target`` is the
+    ``phase`` is named as the trace prints it. The nine phases are
+    idle-until-start, sensing, aifs-wait, backoff-wait-idle, backoff-aifs,
+    backoff-countdown, tx-pending, transmitting and done; "sensing" and
+    "done" are only printed, and "tx-pending" lasts one instant. The three
+    backoff-* phases refine the deferred state and are told apart only with
+    a trace: without one a deferred sender stays "backoff-wait-idle", and
+    only a commit reads the phase. ``backoff_target`` is the
     channel clock reading at which its countdown reaches zero, fixed from
     the draw to the commit.
     """
 
     __slots__ = (
-        "position", "scheduled_start", "airtime", "deadline",
-        "packets_remaining", "phase", "backoff_target", "current_collided",
+        "scheduled_start", "airtime", "deadline", "packets_remaining",
+        "phase", "backoff_target", "current_collided",
         # outcome counters
         "sent", "received", "collided", "ambient_lost", "delivered_late",
         "delay_total_us", "last_tx_end",
     )
 
     def __init__(
-        self,
-        position: int,
-        scheduled_start: TimePoint,
-        airtime: TimeSpan,
-        deadline: TimePoint,
-        packets_remaining: int,
+        self, request: TransmissionRequest, scheduled_start: TimePoint
     ) -> None:
-        self.position = position
         self.scheduled_start = scheduled_start
-        self.airtime = airtime
-        self.deadline = deadline
-        self.packets_remaining = packets_remaining
-        self.phase = _IDLE_UNTIL_START
+        self.airtime = request.packet_airtime
+        self.deadline = request.deadline
+        self.packets_remaining = request.packet_count
+        self.phase = "idle-until-start"
         self.backoff_target = 0
         self.current_collided = False
         self.sent = 0
@@ -304,9 +278,8 @@ def _run(
     it. After any end the sender's next sense runs at once, unless another
     event or timer is queued at that instant; ``starting`` is always empty
     at an end, as endings resolve first and an inline packet needs it
-    empty. Without a trace, an inline packet first takes the packets of its
-    train before the last one that ends by the heap's top time in one
-    arithmetic step.
+    empty. An inline packet first takes the packets of its train before the
+    last one that ends by the heap's top time in one arithmetic step.
     """
     rng = random.Random(seed)
     aifs = channel.aifs
@@ -329,14 +302,16 @@ def _run(
 
     def defer(p: int) -> None:
         # draw a fresh backoff for sender p and file it under its target
-        senders[p].phase = _BACKOFF_WAIT_IDLE
+        senders[p].phase = "backoff-wait-idle"
         senders[p].backoff_target = target = clock + rng.randrange(cw)
         if target not in deferred:
             deferred[target] = set()
             push(targets, target)
         deferred[target].add(p)
 
-    heap = [(s.scheduled_start, _PRIO_DECISION, s.position, _SENSE) for s in senders]
+    heap = [
+        (s.scheduled_start, _PRIO_DECISION, p, _SENSE) for p, s in enumerate(senders)
+    ]
     heapq.heapify(heap)
     while heap or timers:
         if timers and (not heap or timers[0] < heap[0]):
@@ -346,8 +321,8 @@ def _run(
         s = senders[pos]
         if kind == _COMMIT:
             if trace is not None:
-                trace.append(f"{now} c{pos} {PHASES[s.phase]}->tx-pending")
-            if s.phase == _AIFS_WAIT:
+                trace.append(f"{now} c{pos} {s.phase}->tx-pending")
+            if s.phase == "aifs-wait":
                 waiting.remove(pos)
             else:
                 holders = deferred[s.backoff_target]
@@ -355,12 +330,12 @@ def _run(
                 if not holders:  # the least target, on top since its idle edge
                     del deferred[s.backoff_target]
                     pop(targets)
-            s.phase = _TX_PENDING
+            s.phase = "tx-pending"
             starting.append(pos)
 
         elif kind == _COUNTDOWN_MARK:  # only with a trace
             trace.append(f"{now} c{pos} backoff-aifs->backoff-countdown")
-            s.phase = _BACKOFF_COUNTDOWN
+            s.phase = "backoff-countdown"
 
         else:
             # a sense or a packet end, then the same sender's next ones
@@ -368,7 +343,7 @@ def _run(
             while True:
                 if kind == _SENSE:
                     if trace is not None:
-                        trace.append(f"{now} c{pos} {PHASES[s.phase]}->sensing")
+                        trace.append(f"{now} c{pos} {s.phase}->sensing")
                     if active:
                         # first contention for this packet: draw the backoff
                         defer(pos)
@@ -379,10 +354,12 @@ def _run(
                     if trace is not None:
                         trace.append(f"{now} c{pos} sensing->aifs-wait")
                     end = now + aifs + s.airtime
-                    if waiting or starting or (heap and heap[0][0] < end) or (
-                        deferred and (trace is not None or timers[0][0] <= now + aifs)
+                    if (
+                        waiting or starting or (heap and heap[0][0] < end)
+                        or (deferred and timers[0][0] <= now + aifs)
+                        or trace is not None
                     ):
-                        s.phase = _AIFS_WAIT
+                        s.phase = "aifs-wait"
                         push(timers, (now + aifs, _PRIO_DECISION, pos, _COMMIT))
                         waiting.add(pos)
                         break
@@ -393,33 +370,28 @@ def _run(
                         # busy edge, in place
                         clock += (now - idle_since) // slot
                         timers.clear()
-                    if trace is not None:
-                        trace.append(f"{now + aifs} c{pos} aifs-wait->tx-pending")
-                        trace.append(f"{now + aifs} c{pos} tx-pending->transmitting")
-                    else:
-                        # the packets before the last one to end by the next
-                        # queued event, in one step (see the docstring)
-                        period = aifs + s.airtime
-                        batch = s.packets_remaining - 1
-                        if heap:
-                            batch = min(batch, (heap[0][0] - now) // period - 1)
-                        if batch > 0:
-                            lag = now - s.scheduled_start - s.sent * period
-                            lost = late = 0
-                            for t in range(now + period, end + batch * period, period):
-                                if loss > 0 and rng.random() < loss:
-                                    lost += 1
-                                elif t > s.deadline:
-                                    late += 1
-                            s.sent += batch
-                            s.received += batch - lost
-                            s.ambient_lost += lost
-                            s.delivered_late += late
-                            s.delay_total_us += batch * lag
-                            s.packets_remaining -= batch
-                            now += batch * period
-                            end += batch * period
-                    s.phase = _TRANSMITTING
+                    # the packets before the last one to end by the next
+                    # queued event, in one step (see the docstring)
+                    period = aifs + s.airtime
+                    batch = s.packets_remaining - 1
+                    if heap:
+                        batch = min(batch, (heap[0][0] - now) // period - 1)
+                    if batch > 0:
+                        lag = now - s.scheduled_start - s.sent * period
+                        lost = late = 0
+                        for t in range(now + period, end + batch * period, period):
+                            if loss > 0 and rng.random() < loss:
+                                lost += 1
+                            elif t > s.deadline:
+                                late += 1
+                        s.sent += batch
+                        s.received += batch - lost
+                        s.ambient_lost += lost
+                        s.delivered_late += late
+                        s.delay_total_us += batch * lag
+                        s.packets_remaining -= batch
+                        now += batch * period
+                        end += batch * period
                     s.current_collided = False
                     now = end
                 else:
@@ -451,21 +423,17 @@ def _run(
                     for p in deferred[least]:
                         push(timers, (commit_at, _PRIO_DECISION, p, _COMMIT))
                     if trace is not None:
-                        for other in senders:
-                            if other.phase != _BACKOFF_WAIT_IDLE:
+                        for p, other in enumerate(senders):
+                            if other.phase != "backoff-wait-idle":
                                 continue
-                            trace.append(
-                                f"{now} c{other.position} "
-                                "backoff-wait-idle->backoff-aifs"
-                            )
-                            other.phase = _BACKOFF_AIFS
+                            trace.append(f"{now} c{p} backoff-wait-idle->backoff-aifs")
+                            other.phase = "backoff-aifs"
                             if other.backoff_target != clock:
-                                push(timers, (now + aifs, _PRIO_DECISION,
-                                              other.position, _COUNTDOWN_MARK))
+                                mark = (now + aifs, _PRIO_DECISION, p, _COUNTDOWN_MARK)
+                                push(timers, mark)
                 if s.packets_remaining == 0:
                     if trace is not None:
                         trace.append(f"{now} c{pos} transmitting->done")
-                    s.phase = _DONE
                     break
                 if (heap and heap[0][0] <= now) or (timers and timers[0][0] <= now):
                     # another event at this instant may resolve first
@@ -483,7 +451,7 @@ def _run(
             s = senders[pos]
             if trace is not None:
                 trace.append(f"{now} c{pos} tx-pending->transmitting")
-            s.phase = _TRANSMITTING
+            s.phase = "transmitting"
             push(heap, (now + s.airtime, _PRIO_TX_END, pos, _TX_END))
             if active:
                 # overlap on start destroys every packet in the air, ours included
@@ -501,13 +469,12 @@ def _run(
             if deferred:
                 clock += (now - idle_since - aifs) // slot
             if trace is not None:
-                for other in senders:
-                    if other.phase in (_AIFS_WAIT, _BACKOFF_AIFS, _BACKOFF_COUNTDOWN):
-                        trace.append(
-                            f"{now} c{other.position} "
-                            f"{PHASES[other.phase]}->backoff-wait-idle"
-                        )
-                        other.phase = _BACKOFF_WAIT_IDLE
+                for p, other in enumerate(senders):
+                    if other.phase in (
+                        "aifs-wait", "backoff-aifs", "backoff-countdown"
+                    ):
+                        trace.append(f"{now} c{p} {other.phase}->backoff-wait-idle")
+                        other.phase = "backoff-wait-idle"
             if waiting:
                 for p in sorted(waiting):  # fresh draws in input order
                     defer(p)
@@ -542,24 +509,11 @@ def simulate(
         ValueError: schedule and request counts differ, or a start is
             negative.
     """
-    if len(schedule.starts) != len(requests):
-        raise ValueError(
-            f"schedule has {len(schedule.starts)} starts for "
-            f"{len(requests)} requests"
-        )
+    _check_counts(schedule, requests)
     for start in schedule.starts:
         if start < 0:
             raise ValueError(f"scheduled start must be >= 0, got {start}")
-    senders = [
-        SenderState(
-            position=position,
-            scheduled_start=start,
-            airtime=req.packet_airtime,
-            deadline=req.deadline,
-            packets_remaining=req.packet_count,
-        )
-        for position, (req, start) in enumerate(zip(requests, schedule.starts))
-    ]
+    senders = [SenderState(req, start) for req, start in zip(requests, schedule.starts)]
     activations = _run(senders, channel, seed, trace)
     stats = tuple(
         ConnectionStats(

@@ -24,6 +24,7 @@ from txsched import (
     WindowSweep,
     compute_duration,
     feasible,
+    simulate,
     total_cost,
     window,
 )
@@ -214,6 +215,20 @@ class TestValidation:
         assert compute_duration(req(1, airtime=1)) == 1
         with pytest.raises(ValueError):
             req(100, airtime=-10)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            total_cost,
+            feasible,
+            lambda schedule, rs: simulate(rs, schedule, ChannelConfig(), seed=1),
+        ],
+        ids=["total_cost", "feasible", "simulate"],
+    )
+    def test_count_mismatch_message(self, call):
+        with pytest.raises(ValueError) as err:
+            call(Schedule((0,)), [req(100), req(100, id=1)])
+        assert str(err.value) == "schedule has 1 starts for 2 requests"
 
     def test_interval_end(self):
         # [40, 100) ends where [100, 110) starts; one tick earlier they overlap

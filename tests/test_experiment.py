@@ -18,6 +18,7 @@ from txsched import (
     report_comparison,
     rescale_requests,
     run_experiment,
+    run_scheduler,
     window,
 )
 from txsched.experiment import _mean
@@ -129,6 +130,12 @@ class TestRunExperiment:
         table = run_experiment(parse_scenario(text))
         assert {r.window_us for r in table.rows} == {-1}
         assert len(table.seed_rows()) == 9
+
+    def test_unknown_scheduler_name(self):
+        requests = parse_scenario(SMALL).requests
+        with pytest.raises(ValueError) as err:
+            run_scheduler("nope", requests, SchedulerConfig(step=81), 0)
+        assert str(err.value) == "unknown scheduler 'nope'"
 
     def test_repeat_runs_identical(self):
         spec = parse_scenario(SMALL)

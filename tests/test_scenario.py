@@ -227,6 +227,11 @@ class TestErrors:
             "format txsched/1\nschedulers psychic\n", "unknown scheduler", line=2
         )
 
+    def test_seeds_without_values(self):
+        self.expect(
+            "format txsched/1\nseeds\n", ": seeds needs at least one value", line=2
+        )
+
     def test_duplicate_scheduler_name(self):
         self.expect(
             "format txsched/1\nschedulers tsgs tsgs\n", "listed twice", line=2

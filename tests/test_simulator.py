@@ -431,6 +431,22 @@ class TestReportOps:
         )
         assert collision_summary(report) == [1, 3]
 
+    def test_totals_sum_connections(self):
+        report = SimReport(
+            per_connection=(
+                stats(5, received=3, collided=1, ambient=1),
+                stats(4, received=2, ambient=2),
+            ),
+            backoff_activations=0,
+        )
+        totals = (report.total_sent, report.total_received,
+                  report.total_collided, report.total_ambient_lost)
+        assert totals == (9, 5, 1, 3)
+
+    def test_mean_delay_per_connection(self):
+        assert stats(4).replace(delay_total_us=26).mean_delay_us == 6.5
+        assert stats(0).mean_delay_us == 0.0
+
     def test_mean_delay_aggregate(self):
         report = simulate(train(2), Schedule((0, 100)), ChannelConfig(cw=1), seed=1)
         total = sum(c.delay_total_us for c in report.per_connection)
