@@ -84,6 +84,18 @@ lateness is end > deadline, and every packet of the stretch lags its
 nominal end by the same amount. The last of the m packets is accounted as
 a single inline packet, so the train's end and a re-queue at an instant
 shared with another event keep one definition.
+
+Senders that start together collide, and if they share one airtime a and
+the channel was idle, with nobody waiting out an AIFS or deferred, they
+end together, sense together and start together again one period
+P = aifs + a later: they collide in lock-step until a train ends or a
+queued event (a sender's first sense) breaks in. Untraced, the group
+accounts its next rounds = min(k - 1, (h - now - 1) // P) collided
+packets in one step, k being the fewest packets any member has left, so
+every queued event falls strictly after the start of the last round,
+which the group starts as a queued one. Collided packets take no loss
+draw and count no lateness, and each packet of the stretch lags its
+nominal end by the same amount.
 """
 
 from __future__ import annotations
@@ -267,9 +279,10 @@ def _run(
     countdown marks. A busy edge clears ``timers``; every entry still in
     it is live. A commit appends its sender to ``starting``, and the
     start block at the end of an iteration runs once neither heap holds
-    an event at ``now``. The handlers are inlined here. Only a trace makes
-    an edge visit every sender (in position order, for its line and its
-    phase).
+    an event at ``now``; untraced, a lock-step group (see the module
+    docstring) first takes all its rounds but the last in one step. The
+    handlers are inlined here. Only a trace makes an edge visit every
+    sender (in position order, for its line and its phase).
 
     Senses and packet ends share one block, so a packet run inline (see
     the module docstring) is accounted for by the same code as a queued
@@ -288,6 +301,7 @@ def _run(
     loss = channel.ambient_loss_rate
     push = heapq.heappush
     pop = heapq.heappop
+    draw = rng.random
 
     active: dict[int, SenderState] = {}  # on air, by position
     waiting: set[int] = set()  # aifs-wait
@@ -378,15 +392,17 @@ def _run(
                         batch = min(batch, (heap[0][0] - now) // period - 1)
                     if batch > 0:
                         lag = now - s.scheduled_start - s.sent * period
-                        lost = late = 0
-                        for t in range(now + period, end + batch * period, period):
-                            if loss > 0 and rng.random() < loss:
-                                lost += 1
-                            elif t > s.deadline:
-                                late += 1
+                        # packet i of the stretch ends at end + i * period
+                        lost_at = ()
+                        if loss > 0:
+                            lost_at = [i for i in range(batch) if draw() < loss]
+                        first_late = max(0, (s.deadline - end) // period + 1)
+                        late = max(0, batch - first_late)
+                        if lost_at:  # a lost packet is never late
+                            late -= sum(i >= first_late for i in lost_at)
                         s.sent += batch
-                        s.received += batch - lost
-                        s.ambient_lost += lost
+                        s.received += batch - len(lost_at)
+                        s.ambient_lost += len(lost_at)
                         s.delivered_late += late
                         s.delay_total_us += batch * lag
                         s.packets_remaining -= batch
@@ -400,7 +416,7 @@ def _run(
                 if s.current_collided:
                     s.collided += 1
                     outcome = "collided"
-                elif loss > 0 and rng.random() < loss:
+                elif loss > 0 and draw() < loss:
                     s.ambient_lost += 1
                     outcome = "ambient-lost"
                 else:
@@ -445,6 +461,24 @@ def _run(
             timers and timers[0][0] == now
         ):
             continue
+        if len(starting) > 1 and trace is None and not (active or waiting or deferred):
+            # with equal airtimes, a lock-step group: its rounds before the
+            # last one to start before the next queued event collide in one
+            # step (see the docstring)
+            group = [senders[p] for p in starting]
+            a = group[0].airtime
+            if all(m.airtime == a for m in group):
+                period = aifs + a
+                rounds = min(m.packets_remaining for m in group) - 1
+                if heap:
+                    rounds = min(rounds, (heap[0][0] - now - 1) // period)
+                for m in group:
+                    lag = now + a - m.scheduled_start - (m.sent + 1) * period
+                    m.delay_total_us += rounds * lag
+                    m.sent += rounds
+                    m.collided += rounds
+                    m.packets_remaining -= rounds
+                now += rounds * period
         # every decision at this instant is made: the committed senders
         # start, in position order
         for pos in starting:

@@ -6,7 +6,9 @@ from txsched import ChannelConfig, Schedule, TransmissionRequest
 
 
 @st.composite
-def channel_runs(draw, max_n=6, max_start_slot=12, max_packets=4, max_cw=6):
+def channel_runs(
+    draw, max_n=6, max_start_slot=12, max_packets=4, max_cw=6, lockstep=False
+):
     """Senders and a channel built for ties: starts on the slot grid,
     airtimes in whole slots and AIFS often a slot multiple, so idle and
     busy edges, AIFS ends and slot ends keep landing on one instant. Half
@@ -14,7 +16,10 @@ def channel_runs(draw, max_n=6, max_start_slot=12, max_packets=4, max_cw=6):
     that id order differs from position order. Starts spread over many
     slots with long trains leave runs of uncontended packets between the
     contended ones. Deadlines run from before the start (every packet
-    late) to the train's uncontended end, so they often fall mid-train."""
+    late) to the train's uncontended end, so they often fall mid-train.
+    With ``lockstep``, every sender has one airtime and starts on a
+    multiple of aifs + airtime, so senders that meet collide together for
+    many packets."""
     slot = draw(st.integers(1, 4))
     aifs = draw(st.sampled_from((0, slot, 2 * slot, draw(st.integers(0, 9)))))
     cw = draw(st.integers(1, max_cw))
@@ -24,11 +29,13 @@ def channel_runs(draw, max_n=6, max_start_slot=12, max_packets=4, max_cw=6):
         ids = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
     else:
         ids = draw(st.permutations(range(n)))
-    starts = tuple(slot * draw(st.integers(0, max_start_slot)) for _ in range(n))
+    shared = slot * draw(st.integers(1, 4)) if lockstep else None
+    unit = aifs + shared if lockstep else slot
+    starts = tuple(unit * draw(st.integers(0, max_start_slot)) for _ in range(n))
     requests = []
     for i in range(n):
         packets = draw(st.integers(1, max_packets))
-        airtime = slot * draw(st.integers(1, 4))
+        airtime = shared or slot * draw(st.integers(1, 4))
         end = starts[i] + packets * (aifs + airtime)
         requests.append(
             TransmissionRequest(ids[i], draw(st.integers(0, end)), packets, airtime)

@@ -1,8 +1,8 @@
 """The prefix-integral schedulers and the sweep cost equal the naive
 references in ``reference.py`` on schedule, cost and counter, and the
 simulator (shared countdown clock, inline uncontended packets, stretches
-of a train run in one step) equals the per-slot reference on report and
-trace."""
+of a train run in one step, lock-step collisions run in one step) equals
+the per-slot reference on report and trace."""
 
 import itertools
 from collections import Counter
@@ -23,6 +23,7 @@ from txsched import (
     exhaustive_schedule,
     schedulers,
     simulate,
+    simulator,
     total_cost,
     tsgs_schedule,
 )
@@ -273,6 +274,40 @@ def test_captured_simulate_equals_reference(run):
     assert_simulate_equals_reference(*run)
 
 
+def test_lockstep_simulate_equals_reference(monkeypatch):
+    # senders of one airtime that start on multiples of aifs + airtime
+    # meet at one commit instant and collide together packet after
+    # packet; untraced, those rounds run in one step
+    rises = []
+    slot = simulator.SenderState.collided  # the slot's descriptor
+
+    class Watched(simulator.SenderState):
+        # records each rise of the collided count by more than one packet
+        # at once, which only the lock-step stretch makes
+        __slots__ = ()
+
+        @property
+        def collided(self):
+            return slot.__get__(self)
+
+        @collided.setter
+        def collided(self, value):
+            before = getattr(self, "collided", value)
+            if value > before + 1:
+                rises.append(value - before)
+            slot.__set__(self, value)
+
+    monkeypatch.setattr(simulator, "SenderState", Watched)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(channel_runs(max_start_slot=4, max_packets=12, lockstep=True))
+    def check(run):
+        assert_simulate_equals_reference(*run)
+
+    check()
+    assert rises
+
+
 # One uncontended train of three packets under the default channel (aifs
 # 58, slot 13): it senses at 0, 81 and 162, commits at 58, 139 and 220,
 # and its packets end at 81, 162 and 243. A second sender starts at one of
@@ -374,6 +409,63 @@ EDGE_CASES = {
         (0, 60, 405),
         ChannelConfig(),
         14,
+    ),
+    # c0..c2 commit together at 58 and collide on all five packets: the
+    # first four rounds in one step, the last one queued
+    "lockstep-three": (
+        [TransmissionRequest(i, 10_000, 5, 23) for i in range(3)],
+        (0, 0, 0),
+        ChannelConfig(),
+        3,
+    ),
+    # the step stops one round before c0's train ends; c1 then runs its
+    # last three packets alone, inline
+    "lockstep-unequal-packets": (
+        [TransmissionRequest(0, 10_000, 3, 23), TransmissionRequest(1, 10_000, 6, 23)],
+        (0, 0),
+        ChannelConfig(),
+        3,
+    ),
+    # rounds start at 58 + 81 * j and end at 81 + 81 * j. c2's sense at 280,
+    # in the AIFS before round 3, ends the step after round 1: c2 waits
+    # out an AIFS and defers at round 3's start
+    "lockstep-sense-inside-stretch": (
+        [_LONG, _LONG.replace(id=1), _OTHER.replace(id=2)],
+        (0, 0, 280),
+        ChannelConfig(),
+        3,
+    ),
+    # c2 senses at round 3's commit instant (301); rounds 0 and 1 run in
+    # the step, and c2 defers at round 3's start
+    "lockstep-sense-at-commit": (
+        [_LONG, _LONG.replace(id=1), _OTHER.replace(id=2)],
+        (0, 0, 301),
+        ChannelConfig(),
+        3,
+    ),
+    # c2 senses at round 2's end (243), together with c0 and c1
+    "lockstep-sense-at-round-end": (
+        [_LONG, _LONG.replace(id=1), _OTHER.replace(id=2)],
+        (0, 0, 243),
+        ChannelConfig(),
+        3,
+    ),
+    # no AIFS: round j runs from 23 * j to 23 * (j + 1), so c2's sense at
+    # 69 is both round 2's end and round 3's commit; round 2 must end
+    # first, and c2 then joins the collision
+    "lockstep-aifs-0-sense-at-round-end": (
+        [_LONG, _LONG.replace(id=1), _OTHER.replace(id=2)],
+        (0, 0, 69),
+        ChannelConfig(aifs=0),
+        3,
+    ),
+    # c0 and c1 collide at 58, but c1 is still on air at c0's end (81):
+    # c0 defers, so unequal airtimes are never one lock-step group
+    "lockstep-unequal-airtime": (
+        [TransmissionRequest(0, 10_000, 5, 23), TransmissionRequest(1, 10_000, 5, 24)],
+        (0, 0),
+        ChannelConfig(),
+        3,
     ),
 }
 

@@ -262,6 +262,28 @@ class TestProperties:
         assert first == second
 
 
+@pytest.fixture
+def heap_pops(monkeypatch):
+    """One entry per event the simulator pops. More than 10,000 pops
+    raise, so a run that never ends fails instead of hanging."""
+    pops = []
+
+    def counted(heap):
+        pops.append(None)
+        if len(pops) > 10_000:
+            raise RuntimeError("more than 10,000 heap pops")
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(
+        simulator,
+        "heapq",
+        SimpleNamespace(
+            heapify=heapq.heapify, heappush=heapq.heappush, heappop=counted
+        ),
+    )
+    return pops
+
+
 class TestResourceBound:
     def test_huge_cw_allocates_nothing_by_cw(self):
         # a table sized by cw would take gigabytes here; never run this
@@ -280,31 +302,32 @@ class TestResourceBound:
         assert report.backoff_activations > 0
         assert peak < 1 << 20
 
-    def test_captured_train_pops_events_independent_of_its_length(self, monkeypatch):
+    def test_captured_train_pops_events_independent_of_its_length(self, heap_pops):
         # c1 freezes a one-slot countdown (seed 14) on c0's first packet;
         # c0 then captures the channel for the rest of its train, in place
         # and in one step, so a longer train pops no more events
-        pops = []
-
-        def counted(heap):
-            pops.append(None)
-            return heapq.heappop(heap)
-
-        monkeypatch.setattr(
-            simulator,
-            "heapq",
-            SimpleNamespace(
-                heapify=heapq.heapify, heappush=heapq.heappush, heappop=counted
-            ),
-        )
         counts = []
         for packets in (10, 40):
-            pops.clear()
+            heap_pops.clear()
             reqs = [req(id=0, packets=packets), req(id=1)]
             report = simulate(reqs, Schedule((0, 60)), ChannelConfig(), seed=14)
             assert report.total_collided == 0
             assert report.backoff_activations == 1
-            counts.append(len(pops))
+            counts.append(len(heap_pops))
+        assert counts[0] == counts[1]
+
+    def test_lockstep_pair_pops_events_independent_of_its_length(self, heap_pops):
+        # two equal trains that commit together collide on every packet;
+        # untraced, all rounds but the last run in one step
+        counts = []
+        for packets in (10, 40):
+            heap_pops.clear()
+            report = simulate(
+                train(2, packets=packets), Schedule((0, 0)), ChannelConfig(), seed=3
+            )
+            assert report.total_collided == 2 * packets
+            assert report.backoff_activations == 0
+            counts.append(len(heap_pops))
         assert counts[0] == counts[1]
 
 
