@@ -111,6 +111,8 @@ class TransmissionRequest(_Record):
     per_packet_overhead: TimeSpan
 
     def _check(self) -> None:
+        for name in self.__slots__:
+            _check_int(name, getattr(self, name))
         if self.id < 0:
             raise ValueError(f"connection id must be >= 0, got {self.id}")
         if self.deadline < 0:
@@ -159,6 +161,14 @@ def window(request: TransmissionRequest, margin: TimeSpan = 0) -> TimeSpan:
             f"exceeds deadline {request.deadline}us"
         )
     return request.deadline - d - margin
+
+
+def _check_int(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int: every time is a
+    whole microsecond, and a float or a bool would pass the range checks
+    and corrupt the integer arithmetic behind them."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _check_counts(

@@ -86,16 +86,27 @@ a single inline packet, so the train's end and a re-queue at an instant
 shared with another event keep one definition.
 
 Senders that start together collide, and if they share one airtime a and
-the channel was idle, with nobody waiting out an AIFS or deferred, they
-end together, sense together and start together again one period
-P = aifs + a later: they collide in lock-step until a train ends or a
-queued event (a sender's first sense) breaks in. Untraced, the group
-accounts its next rounds = min(k - 1, (h - now - 1) // P) collided
-packets in one step, k being the fewest packets any member has left, so
-every queued event falls strictly after the start of the last round,
-which the group starts as a queued one. Collided packets take no loss
-draw and count no lateness, and each packet of the stretch lags its
-nominal end by the same amount.
+the channel was idle, with nobody waiting out an AIFS, they end together,
+sense together and start together again one period P = aifs + a later:
+they collide in lock-step until a train ends or a queued event (a
+sender's first sense) breaks in. Untraced, the group accounts its next
+rounds = min(k - 1, (h - now - 1) // P) collided packets in one step, k
+being the fewest packets any member has left, so every queued event falls
+strictly after the start of the last round, which the group starts as a
+queued one. Collided packets take no loss draw and count no lateness, and
+each packet of the stretch lags its nominal end by the same amount.
+
+Deferred senders need not stop the stretch either; the capture argument
+holds for a group. The group's first busy edge leaves every deferred
+target beyond the clock, since a target the idle period had reached would
+have committed with the group. Every later idle gap is one AIFS and
+counts no slot, so the countdowns stay frozen for the whole stretch and no
+commit falls at a round's start. When rounds > 0 the step makes the first
+round's busy edge, clock += (now - idle_since - aifs) // slot_time, and
+sets idle_since to the end of the last batched round, so the last round's
+queued busy edge counts no slot and clears the timers. A sender waiting
+out an AIFS does stop it: it draws at the group's busy edge, and a draw
+of 0 joins the next round.
 """
 
 from __future__ import annotations
@@ -104,7 +115,8 @@ import heapq
 import random
 
 from .core import (
-    Schedule, TimePoint, TimeSpan, TransmissionRequest, _check_counts, _Record,
+    Schedule, TimePoint, TimeSpan, TransmissionRequest, _check_counts, _check_int,
+    _Record,
 )
 
 # Same-instant resolution order. Endings free the channel before anyone
@@ -138,6 +150,8 @@ class ChannelConfig(_Record):
     ambient_loss_rate: float
 
     def _check(self) -> None:
+        for name in ("slot_time", "aifs", "cw"):
+            _check_int(name, getattr(self, name))
         if self.slot_time <= 0:
             raise ValueError(f"slot_time must be > 0, got {self.slot_time}")
         if self.aifs < 0:
@@ -279,8 +293,9 @@ def _run(
     countdown marks. A busy edge clears ``timers``; every entry still in
     it is live. A commit appends its sender to ``starting``, and the
     start block at the end of an iteration runs once neither heap holds
-    an event at ``now``; untraced, a lock-step group (see the module
-    docstring) first takes all its rounds but the last in one step. The
+    an event at ``now``; untraced and with nobody waiting out an AIFS, a
+    lock-step group (see the module docstring) first takes all its rounds
+    but the last in one step, over any frozen countdowns. The
     handlers are inlined here. Only a trace makes an edge visit every
     sender (in position order, for its line and its phase).
 
@@ -461,10 +476,10 @@ def _run(
             timers and timers[0][0] == now
         ):
             continue
-        if len(starting) > 1 and trace is None and not (active or waiting or deferred):
+        if len(starting) > 1 and trace is None and not (active or waiting):
             # with equal airtimes, a lock-step group: its rounds before the
             # last one to start before the next queued event collide in one
-            # step (see the docstring)
+            # step, over frozen countdowns (see the docstring)
             group = [senders[p] for p in starting]
             a = group[0].airtime
             if all(m.airtime == a for m in group):
@@ -478,6 +493,11 @@ def _run(
                     m.sent += rounds
                     m.collided += rounds
                     m.packets_remaining -= rounds
+                if rounds > 0 and deferred:
+                    # the first round's busy edge; the last round's then
+                    # counts no slot from the end of the round before it
+                    clock += (now - idle_since - aifs) // slot
+                    idle_since = now + (rounds - 1) * period + a
                 now += rounds * period
         # every decision at this instant is made: the committed senders
         # start, in position order
@@ -541,10 +561,11 @@ def simulate(
 
     Raises:
         ValueError: schedule and request counts differ, or a start is
-            negative.
+            not an int or is negative.
     """
     _check_counts(schedule, requests)
     for start in schedule.starts:
+        _check_int("scheduled start", start)
         if start < 0:
             raise ValueError(f"scheduled start must be >= 0, got {start}")
     senders = [SenderState(req, start) for req, start in zip(requests, schedule.starts)]

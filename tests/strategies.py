@@ -7,7 +7,8 @@ from txsched import ChannelConfig, Schedule, TransmissionRequest
 
 @st.composite
 def channel_runs(
-    draw, max_n=6, max_start_slot=12, max_packets=4, max_cw=6, lockstep=False
+    draw, max_n=6, max_start_slot=12, max_packets=4, max_cw=6, lockstep=False,
+    off_grid=0,
 ):
     """Senders and a channel built for ties: starts on the slot grid,
     airtimes in whole slots and AIFS often a slot multiple, so idle and
@@ -19,7 +20,10 @@ def channel_runs(
     late) to the train's uncontended end, so they often fall mid-train.
     With ``lockstep``, every sender has one airtime and starts on a
     multiple of aifs + airtime, so senders that meet collide together for
-    many packets."""
+    many packets. ``off_grid`` adds up to that many further senders of one
+    or two packets and any airtime, starting off that grid among the
+    group's rounds: they sense a round busy or wait out an AIFS into one,
+    so a group often starts again while they are deferred."""
     slot = draw(st.integers(1, 4))
     aifs = draw(st.sampled_from((0, slot, 2 * slot, draw(st.integers(0, 9)))))
     cw = draw(st.integers(1, max_cw))
@@ -40,6 +44,16 @@ def channel_runs(
         requests.append(
             TransmissionRequest(ids[i], draw(st.integers(0, end)), packets, airtime)
         )
+    for i in range(draw(st.integers(1, off_grid)) if off_grid else 0):
+        offset = draw(st.integers(1, max(1, unit - 1)))
+        start = unit * draw(st.integers(0, max_start_slot)) + offset
+        packets = draw(st.integers(1, 2))
+        airtime = slot * draw(st.integers(1, 4))
+        end = start + packets * (aifs + airtime)
+        requests.append(
+            TransmissionRequest(n + i, draw(st.integers(0, end)), packets, airtime)
+        )
+        starts += (start,)
     channel = ChannelConfig(
         slot_time=slot, aifs=aifs, cw=cw, ambient_loss_rate=loss
     )

@@ -421,6 +421,30 @@ def test_check_message(cls, bad, message):
     assert str(info.value) == message
 
 
+# times and counts are whole numbers: a float or a bool passes every range
+# check and would corrupt the integer arithmetic behind it
+TYPE_CHECKS = [
+    (
+        TransmissionRequest,
+        {"packet_airtime": 23.5},
+        "packet_airtime must be an int, got 23.5",
+    ),
+    (TransmissionRequest, {"packet_count": True}, "packet_count must be an int, got True"),
+    (ChannelConfig, {"slot_time": 13.0}, "slot_time must be an int, got 13.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, bad, message",
+    TYPE_CHECKS,
+    ids=[f"{cls.__name__}-{next(iter(bad))}" for cls, bad, _ in TYPE_CHECKS],
+)
+def test_type_check_message(cls, bad, message):
+    with pytest.raises(ValueError) as info:
+        cls(**{**_VALID[cls], **bad})
+    assert str(info.value) == message
+
+
 def test_equal_fields_of_another_type_differ():
     assert WindowSweep(1, 2, 3) != SchedulerSummary(1, 2, 3)
 

@@ -274,17 +274,21 @@ def test_captured_simulate_equals_reference(run):
     assert_simulate_equals_reference(*run)
 
 
-def test_lockstep_simulate_equals_reference(monkeypatch):
-    # senders of one airtime that start on multiples of aifs + airtime
-    # meet at one commit instant and collide together packet after
-    # packet; untraced, those rounds run in one step
+@pytest.fixture
+def lockstep_rises(monkeypatch):
+    """One entry per rise of a sender's collided count by more than one
+    packet at once, which only the lock-step stretch makes: whether
+    another sender was then deferred with packets left."""
     rises = []
+    senders = []  # of the current run; call senders.clear() between runs
     slot = simulator.SenderState.collided  # the slot's descriptor
 
     class Watched(simulator.SenderState):
-        # records each rise of the collided count by more than one packet
-        # at once, which only the lock-step stretch makes
         __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            senders.append(self)
 
         @property
         def collided(self):
@@ -294,18 +298,52 @@ def test_lockstep_simulate_equals_reference(monkeypatch):
         def collided(self, value):
             before = getattr(self, "collided", value)
             if value > before + 1:
-                rises.append(value - before)
+                rises.append(any(
+                    other.phase == "backoff-wait-idle" and other.packets_remaining
+                    for other in senders
+                ))
             slot.__set__(self, value)
 
     monkeypatch.setattr(simulator, "SenderState", Watched)
+    return rises, senders
+
+
+def test_lockstep_simulate_equals_reference(lockstep_rises):
+    # senders of one airtime that start on multiples of aifs + airtime
+    # meet at one commit instant and collide together packet after
+    # packet; untraced, those rounds run in one step
+    rises, senders = lockstep_rises
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(channel_runs(max_start_slot=4, max_packets=12, lockstep=True))
     def check(run):
+        senders.clear()
         assert_simulate_equals_reference(*run)
 
     check()
     assert rises
+
+
+def test_lockstep_over_deferred_simulate_equals_reference(lockstep_rises):
+    # off-grid senders defer on a lock-step group's rounds, or on each
+    # other's packets before a group meets; with at most three backoff
+    # values, deferred senders often commit together as a group, counting
+    # slots at its first busy edge. Untraced, the group's later rounds run
+    # in one step over the other countdowns, frozen
+    rises, senders = lockstep_rises
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        channel_runs(
+            max_start_slot=4, max_packets=12, max_cw=3, lockstep=True, off_grid=3
+        )
+    )
+    def check(run):
+        senders.clear()
+        assert_simulate_equals_reference(*run)
+
+    check()
+    assert any(rises)
 
 
 # One uncontended train of three packets under the default channel (aifs
@@ -465,6 +503,51 @@ EDGE_CASES = {
         [TransmissionRequest(0, 10_000, 5, 23), TransmissionRequest(1, 10_000, 5, 24)],
         (0, 0),
         ChannelConfig(),
+        3,
+    ),
+    # c1 and c2 defer on c0's packet with 3 slots and c3 with 4 (seed
+    # 2759). c1 and c2 commit at 81 + 58 + 3 * 13 = 178 and collide in
+    # lock-step; their first busy edge counts 3 slots, so c3's target lies
+    # exactly one slot past the clock, and its commit falls one slot after
+    # each round's start. The group's later rounds run in one step over
+    # it, and c3 commits at 525 + 58 + 13 = 596, after the last round
+    "lockstep-over-target-one-slot-past-clock": (
+        [
+            TransmissionRequest(0, 10_000, 1, 23),
+            _LONG.replace(id=1, packet_count=5),
+            _LONG.replace(id=2, packet_count=5),
+            TransmissionRequest(3, 10_000, 1, 23),
+        ],
+        (0, 60, 62, 64),
+        ChannelConfig(),
+        2759,
+    ),
+    # the same with one packet each for c1 and c2: their group has no round
+    # to run in one step, and its busy edge at 178 counts 3 slots as any
+    # other does, so c3 commits at 201 + 58 + 13 = 272
+    "lockstep-single-round-over-deferred": (
+        [TransmissionRequest(i, 10_000, 1, 23) for i in range(4)],
+        (0, 60, 62, 64),
+        ChannelConfig(),
+        2759,
+    ),
+    # no AIFS: c2 defers on round 0 (seed 3 draws 3 slots), and c0 and c1
+    # sense and commit at round 0's end (23), the idle edge itself; the
+    # later rounds run in one step over c2's frozen countdown
+    "lockstep-over-deferred-aifs-0": (
+        [_LONG, _LONG.replace(id=1), TransmissionRequest(2, 10_000, 1, 23)],
+        (0, 0, 5),
+        ChannelConfig(aifs=0),
+        3,
+    ),
+    # c3 senses idle at 1 and still waits out its AIFS when c0..c2 start
+    # together at 58; with cw 1 it draws 0 at that busy edge and joins the
+    # group's next round at 139, so the rounds must not run in one step
+    "lockstep-waiter-draws-0": (
+        [_LONG.replace(id=i, packet_count=5) for i in range(3)]
+        + [TransmissionRequest(3, 10_000, 1, 23)],
+        (0, 0, 0, 1),
+        ChannelConfig(cw=1),
         3,
     ),
 }

@@ -330,6 +330,22 @@ class TestResourceBound:
             counts.append(len(heap_pops))
         assert counts[0] == counts[1]
 
+    def test_lockstep_pair_over_frozen_sender_pops_events_independent_of_its_length(
+        self, heap_pops
+    ):
+        # c2 defers on the pair's first round and freezes a one-slot
+        # countdown (seed 14); untraced, the pair's later rounds but the
+        # last run in one step over it
+        counts = []
+        for packets in (10, 40):
+            heap_pops.clear()
+            reqs = train(2, packets=packets) + [req(id=2)]
+            report = simulate(reqs, Schedule((0, 0, 60)), ChannelConfig(), seed=14)
+            assert report.total_collided == 2 * packets
+            assert report.backoff_activations == 1
+            counts.append(len(heap_pops))
+        assert counts[0] == counts[1]
+
 
 class TestAmbientLoss:
     def test_rate_one_loses_every_clean_packet(self):
@@ -506,6 +522,12 @@ class TestValidation:
     def test_negative_start(self):
         with pytest.raises(ValueError):
             simulate(train(1), Schedule((-5,)), ChannelConfig(), seed=1)
+
+    def test_float_start(self):
+        # a float start would make every count of the report a float
+        with pytest.raises(ValueError) as info:
+            simulate(train(1), Schedule((23.5,)), ChannelConfig(), seed=1)
+        assert str(info.value) == "scheduled start must be an int, got 23.5"
 
     def test_channel_validation(self):
         with pytest.raises(ValueError):
