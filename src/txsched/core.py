@@ -188,10 +188,15 @@ def total_cost(schedule: Schedule, requests: list[TransmissionRequest] | tuple) 
     (touching endpoints allowed) cost 0. With k(x) the number of
     occupancy intervals covering instant x, the sum equals the integral of
     k(k - 1), taken in one sweep over the sorted endpoints.
+
+    Raises:
+        ValueError: schedule and request counts differ, or a start is not
+            an int or is negative.
     """
     _check_counts(schedule, requests)
     steps: dict[TimePoint, int] = {}
     for start, req in zip(schedule.starts, requests):
+        _check_int("interval start", start)
         if start < 0:
             raise ValueError(f"interval start must be >= 0, got {start}")
         end = start + compute_duration(req)
@@ -210,9 +215,15 @@ def feasible(
     requests: list[TransmissionRequest] | tuple,
     margin: TimeSpan = 0,
 ) -> bool:
-    """True iff every start is >= 0 and start + duration + margin <= deadline."""
+    """True iff every start is >= 0 and start + duration + margin <= deadline.
+
+    Raises:
+        ValueError: schedule and request counts differ, or a start is not
+            an int.
+    """
     _check_counts(schedule, requests)
     for start, req in zip(schedule.starts, requests):
+        _check_int("scheduled start", start)
         if start < 0 or start + compute_duration(req) + margin > req.deadline:
             return False
     return True

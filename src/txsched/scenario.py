@@ -30,6 +30,7 @@ from pathlib import Path
 from .core import (
     TimeSpan,
     TransmissionRequest,
+    _check_int,
     _Record,
     window,
 )
@@ -56,6 +57,8 @@ class WindowSweep(_Record):
     step: TimeSpan
 
     def _check(self) -> None:
+        for name in self.__slots__:
+            _check_int(f"sweep {name}", getattr(self, name))
         if self.step <= 0:
             raise ValueError(f"sweep step must be > 0, got {self.step}")
         if self.start < 0:

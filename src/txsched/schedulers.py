@@ -47,6 +47,7 @@ from .core import (
     TimePoint,
     TimeSpan,
     TransmissionRequest,
+    _check_int,
     _Record,
     compute_duration,
     total_cost,
@@ -78,6 +79,8 @@ class SchedulerConfig(_Record):
     ordering: str
 
     def _check(self) -> None:
+        for name in ("step", "margin"):
+            _check_int(name, getattr(self, name))
         if self.step <= 0:
             raise ValueError(f"step must be > 0, got {self.step}")
         if self.margin < 0:

@@ -544,6 +544,8 @@ def simulate(
     channel: ChannelConfig,
     seed: int,
     trace: list[str] | None = None,
+    *,
+    memo: dict | None = None,
 ) -> SimReport:
     """Run every sender's packet train to completion and report outcomes.
 
@@ -559,6 +561,16 @@ def simulate(
     (``TIME cN packet K received|collided|ambient-lost``), N being the
     sender's position in ``requests``.
 
+    ``memo``, when given a dict, lets repeated untraced calls share one
+    run. A run reads each request's packet count and airtime, the starts,
+    the channel and the seed; deadlines only decide which received packets
+    count as late. The memo keeps the reports that count no late packet,
+    and returns a kept report of the same run when every new deadline
+    falls at or after its connection's last packet end, since the fresh
+    run would then count none late either. So the result equals a fresh
+    run's field for field. A traced call neither reads nor writes the
+    memo, and the checks run before the lookup.
+
     Raises:
         ValueError: schedule and request counts differ, or a start is
             not an int or is negative.
@@ -568,6 +580,18 @@ def simulate(
         _check_int("scheduled start", start)
         if start < 0:
             raise ValueError(f"scheduled start must be >= 0, got {start}")
+    runs = None
+    if memo is not None and trace is None:
+        # the trains and channel are shared by every call of an experiment,
+        # so the reports are filed by them once, then by starts and seed
+        trains = tuple((req.packet_count, req.packet_airtime) for req in requests)
+        runs = memo.setdefault((trains, channel), {})
+        stored = runs.get((schedule.starts, seed))
+        if stored is not None and all(
+            req.deadline >= start + c.realized_duration_us
+            for req, start, c in zip(requests, schedule.starts, stored.per_connection)
+        ):
+            return stored
     senders = [SenderState(req, start) for req, start in zip(requests, schedule.starts)]
     activations = _run(senders, channel, seed, trace)
     stats = tuple(
@@ -582,4 +606,9 @@ def simulate(
         )
         for s in senders
     )
-    return SimReport(per_connection=stats, backoff_activations=activations)
+    report = SimReport(per_connection=stats, backoff_activations=activations)
+    if runs is not None and not any(c.delivered_late for c in stats):
+        # a report that counts a late packet is never returned, so only
+        # late-free ones are kept
+        runs[(schedule.starts, seed)] = report
+    return report

@@ -230,6 +230,27 @@ class TestValidation:
             call(Schedule((0,)), [req(100), req(100, id=1)])
         assert str(err.value) == "schedule has 1 starts for 2 requests"
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (total_cost, "interval start must be an int, got 0.5"),
+            (feasible, "scheduled start must be an int, got 0.5"),
+            (
+                lambda schedule, rs: simulate(rs, schedule, ChannelConfig(), seed=1),
+                "scheduled start must be an int, got 0.5",
+            ),
+        ],
+        ids=["total_cost", "feasible", "simulate"],
+    )
+    @pytest.mark.parametrize("start", [0.5, True], ids=["float", "bool"])
+    def test_non_int_start_message(self, call, message, start):
+        # a float start would give a float cost, and feasible would accept
+        # a schedule that simulate rejects
+        rs = [req(10_000, packets=2, overhead=58, id=i) for i in range(2)]
+        with pytest.raises(ValueError) as err:
+            call(Schedule((start, 1)), rs)
+        assert str(err.value) == message.replace("0.5", repr(start))
+
     def test_interval_end(self):
         # [40, 100) ends where [100, 110) starts; one tick earlier they overlap
         rs = [req(1000, airtime=60), req(1000, airtime=10, id=1)]
@@ -431,6 +452,11 @@ TYPE_CHECKS = [
     ),
     (TransmissionRequest, {"packet_count": True}, "packet_count must be an int, got True"),
     (ChannelConfig, {"slot_time": 13.0}, "slot_time must be an int, got 13.0"),
+    (SchedulerConfig, {"step": 10.5}, "step must be an int, got 10.5"),
+    (SchedulerConfig, {"margin": True}, "margin must be an int, got True"),
+    (WindowSweep, {"start": 0.5}, "sweep start must be an int, got 0.5"),
+    (WindowSweep, {"stop": 729.0}, "sweep stop must be an int, got 729.0"),
+    (WindowSweep, {"step": True}, "sweep step must be an int, got True"),
 ]
 
 

@@ -1,15 +1,20 @@
+import importlib.util
 import statistics
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from txsched import (
+    ChannelConfig,
     MissingSchedulerError,
+    ScenarioSpec,
     SchedulerConfig,
     SweepRow,
     SweepTable,
     TransmissionRequest,
+    WindowSweep,
     emit,
     format_summary,
     parse_scenario,
@@ -19,9 +24,14 @@ from txsched import (
     rescale_requests,
     run_experiment,
     run_scheduler,
+    simulate,
+    simulator,
     window,
 )
+from txsched import experiment
+from txsched.cli import resolve_scenario
 from txsched.experiment import _mean
+from txsched.scenario import load_scenario
 
 SMALL = """\
 format txsched/1
@@ -277,3 +287,98 @@ MIXED = st.one_of(
 @given(st.lists(MIXED, min_size=1, max_size=40))
 def test_mean_is_fmean_bit_for_bit(values):
     assert _mean(iter(values)).hex() == statistics.fmean(values).hex()
+
+
+# -- one simulation per distinct run -------------------------------------
+
+
+def table_without_memo(spec):
+    """The table with every row's run simulated from scratch."""
+
+    def fresh(*args, memo=None, **kwargs):
+        return simulate(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiment, "simulate", fresh)
+        return run_experiment(spec)
+
+
+@st.composite
+def sweep_specs(draw):
+    """Small scenarios whose sweeps run past the longest train, so that
+    tsgs's placement settles and later windows repeat earlier runs. A
+    margin of 0 and a busy channel often push packets past the deadline,
+    so some repeated runs count late packets."""
+    slot = draw(st.integers(1, 4))
+    aifs = draw(st.sampled_from((0, slot, 2 * slot)))
+    channel = ChannelConfig(
+        slot, aifs, draw(st.integers(1, 6)), draw(st.sampled_from((0.0, 0.3)))
+    )
+    shapes = draw(st.lists(
+        st.tuples(st.integers(1, 4), st.integers(1, 4).map(lambda k: k * slot)),
+        min_size=1, max_size=3,
+    ))
+    longest = max(packets * (aifs + airtime) for packets, airtime in shapes)
+    config = SchedulerConfig(
+        step=draw(st.integers(max(1, longest // 2), longest + 1)),
+        margin=draw(st.sampled_from((0, slot))),
+    )
+    requests = tuple(
+        TransmissionRequest(i, packets * (aifs + airtime) + config.margin,
+                            packets, airtime, aifs)
+        for i, (packets, airtime) in enumerate(shapes)
+    )
+    sweep = None
+    if draw(st.integers(0, 3)):
+        step = draw(st.integers(1, longest))
+        start = draw(st.integers(0, longest))
+        sweep = WindowSweep(start, start + step * draw(st.integers(0, 5)), step)
+    schedulers = draw(st.lists(
+        st.sampled_from(("exhaustive", "random", "tsgs")), min_size=1, unique=True
+    ))
+    seeds = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3, unique=True))
+    return ScenarioSpec(
+        requests, tuple(schedulers), config, channel, tuple(seeds), sweep
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sweep_specs())
+def test_generated_tables_equal_tables_without_memo(spec):
+    assert run_experiment(spec) == table_without_memo(spec)
+
+
+def _workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", (7, 1009))
+@pytest.mark.parametrize("name", ("table2", "contention", "greedy", "oracle"))
+def test_workload_tables_equal_tables_without_memo(name, seed):
+    src = Path(experiment.__file__).resolve().parents[1]
+    spec = parse_scenario(_workloads().scenario_text(name, seed, src))
+    assert run_experiment(spec) == table_without_memo(spec)
+
+
+def test_table2_simulates_each_distinct_run_once_per_call(monkeypatch):
+    calls, runs = [], []
+    real_simulate, real_run = experiment.simulate, simulator._run
+    monkeypatch.setattr(
+        experiment, "simulate",
+        lambda *args, **kwargs: calls.append(1) or real_simulate(*args, **kwargs),
+    )
+    monkeypatch.setattr(
+        simulator, "_run", lambda *args: runs.append(1) or real_run(*args)
+    )
+    spec = load_scenario(resolve_scenario("table2"))
+    # the memo lives for one call: a second one runs as many times again
+    for _ in range(2):
+        calls.clear()
+        runs.clear()
+        run_experiment(spec)
+        # one simulate call per row, 157 distinct runs among the 400
+        assert (len(calls), len(runs)) == (400, 157)

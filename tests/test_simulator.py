@@ -444,6 +444,120 @@ class TestDeadlineAccounting:
         assert c.delivered_late == 1
 
 
+def last_ends(requests, schedule, channel, seed):
+    """Each connection's last packet end in a fresh run."""
+    report = simulate(requests, schedule, channel, seed)
+    return [
+        start + c.realized_duration_us
+        for start, c in zip(schedule.starts, report.per_connection)
+    ]
+
+
+def deadlines_around(ends):
+    """One deadline per connection, drawn near its last packet end: at it,
+    one tick before it, after it, or anywhere up to it, so a vector often
+    cuts through a train."""
+    return st.tuples(*(
+        st.one_of(
+            st.just(end), st.just(max(0, end - 1)), st.integers(end, end + 50),
+            st.integers(0, end),
+        )
+        for end in ends
+    ))
+
+
+class TestMemo:
+    @PROPERTY
+    @given(ANY_CHANNEL_RUN, st.data())
+    def test_result_equals_a_fresh_run(self, run, data):
+        requests, schedule, channel, seed = run
+        ends = last_ends(*run)
+        # prime with the run's own deadlines or with ones near the ends,
+        # which often leave the stored report with no late packet
+        first = data.draw(
+            st.one_of(st.just([r.deadline for r in requests]), deadlines_around(ends))
+        )
+        memo = {}
+        primed = [r.replace(deadline=d) for r, d in zip(requests, first)]
+        simulate(primed, schedule, channel, seed, memo=memo)
+        # ids and overheads play no part in a run, so they may differ too
+        again = [
+            r.replace(deadline=d, id=data.draw(st.integers(0, 3)),
+                      per_packet_overhead=data.draw(st.integers(0, 9)))
+            for r, d in zip(requests, data.draw(deadlines_around(ends)))
+        ]
+        assert simulate(again, schedule, channel, seed, memo=memo) == simulate(
+            again, schedule, channel, seed
+        )
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """One entry per run the simulator actually makes."""
+        made, real_run = [], simulator._run
+        monkeypatch.setattr(
+            simulator, "_run", lambda *args: made.append(1) or real_run(*args)
+        )
+        return made
+
+    def test_safe_hit_returns_the_stored_report(self, runs):
+        memo, schedule = {}, Schedule((0, 200))
+        first = simulate(train(2, packets=5), schedule, ChannelConfig(), 3, memo=memo)
+        later = train(2, packets=5, deadline=2_000_000)
+        assert simulate(later, schedule, ChannelConfig(), 3, memo=memo) is first
+        assert len(runs) == 1
+
+    def test_deadline_before_the_last_end_runs_again(self, runs):
+        # packets end at 81 and 162: a report with no late packet answers
+        # no deadline before 162
+        memo = {}
+        on_time = simulate([req(deadline=162, packets=2)], Schedule((0,)),
+                           ChannelConfig(), seed=1, memo=memo)
+        assert on_time.per_connection[0].delivered_late == 0
+        late = simulate([req(deadline=161, packets=2)], Schedule((0,)),
+                        ChannelConfig(), seed=1, memo=memo)
+        assert late.per_connection[0].delivered_late == 1
+        # the late report is not kept, so the on-time one still answers
+        again = simulate([req(deadline=200, packets=2)], Schedule((0,)),
+                         ChannelConfig(), seed=1, memo=memo)
+        assert again is on_time
+        assert len(runs) == 2
+
+    def test_late_report_is_never_returned(self, runs):
+        memo = {}
+        for deadline in (100, 200):
+            simulate([req(deadline=deadline, packets=2)], Schedule((0,)),
+                     ChannelConfig(), seed=1, memo=memo)
+        assert len(runs) == 2
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(ANY_CHANNEL_RUN)
+    def test_traced_call_leaves_the_memo_untouched(self, run):
+        requests, schedule, channel, seed = run
+        # no packet is late, so the untraced report is kept
+        run = ([r.replace(deadline=10**9) for r in requests], schedule, channel, seed)
+        memo = {}
+        assert simulate(*run, trace=[], memo=memo) == simulate(*run)
+        assert memo == {}
+        stored = simulate(*run, memo=memo)
+        before = {key: dict(runs) for key, runs in memo.items()}
+        assert [list(runs.values()) for runs in before.values()] == [[stored]]
+        trace = []
+        assert simulate(*run, trace=trace, memo=memo) == stored
+        assert trace
+        assert memo == before
+
+    def test_checks_run_before_the_lookup(self):
+        # 0.0 == 0 and hashes alike, so a lookup first would answer it
+        memo = {}
+        simulate(train(1), Schedule((0,)), ChannelConfig(), seed=1, memo=memo)
+        with pytest.raises(ValueError) as info:
+            simulate(train(1), Schedule((0.0,)), ChannelConfig(), seed=1, memo=memo)
+        assert str(info.value) == "scheduled start must be an int, got 0.0"
+        with pytest.raises(ValueError) as info:
+            simulate(train(1), Schedule((0, 0)), ChannelConfig(), seed=1, memo=memo)
+        assert str(info.value) == "schedule has 2 starts for 1 requests"
+
+
 class TestReportOps:
     def test_pdr_arithmetic(self):
         report = SimReport(
