@@ -126,7 +126,7 @@ def _cmd_validate(args) -> int:
     print(
         f"ok: {len(spec.requests)} connections, "
         f"{len(spec.schedulers)} schedulers, {len(spec.seeds)} seeds"
-        + ("" if spec.sweep is None else f", {len(spec.sweep.points())} sweep points")
+        + ("" if spec.sweep is None else f", {spec.sweep.count()} sweep points")
     )
     return 0
 

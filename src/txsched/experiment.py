@@ -18,7 +18,7 @@ import math
 from pathlib import Path
 
 from .core import TransmissionRequest, _Record, compute_duration
-from .scenario import ScenarioSpec
+from .scenario import ScenarioError, ScenarioSpec
 from .schedulers import (
     ScheduleResult,
     SchedulerConfig,
@@ -31,6 +31,12 @@ from .simulator import collision_summary, pdr, simulate
 NATIVE_WINDOW = -1
 
 TABLE_FORMAT_TAG = "txsched-table/1"
+
+# run_experiment refuses a scenario above either cap before any work: it
+# holds every row until it returns, and it simulates every packet. table2
+# makes 420 rows and simulates 40,000 packets.
+MAX_ROWS = 1_000_000
+MAX_PACKETS = 1_000_000_000
 
 
 class MissingSchedulerError(ValueError):
@@ -118,9 +124,22 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
     whose run (trains, starts, channel, seed) an earlier row made gets
     that row's report whenever its deadlines leave the report unchanged.
     Deterministic: the same spec yields an identical table.
+
+    Raises:
+        ScenarioError: the rows (points x schedulers x (seeds + 1)) or the
+            simulated packets exceed ``MAX_ROWS`` or ``MAX_PACKETS``;
+            both are counted before any work.
     """
     points = spec.sweep.points() if spec.sweep is not None else [NATIVE_WINDOW]
     seeds = sorted(spec.seeds)
+    groups = (1 if spec.sweep is None else spec.sweep.count()) * len(spec.schedulers)
+    row_count = groups * (len(seeds) + 1)
+    packets = groups * len(seeds) * sum(req.packet_count for req in spec.requests)
+    if row_count > MAX_ROWS or packets > MAX_PACKETS:
+        raise ScenarioError(
+            f"run too large: {row_count} rows and {packets} simulated packets "
+            f"exceed the caps of {MAX_ROWS} rows and {MAX_PACKETS} packets"
+        )
     rows: list[SweepRow] = []
     memo: dict = {}  # simulate's, for this call only
     for window_us in points:

@@ -71,6 +71,10 @@ class WindowSweep(_Record):
         ``len`` costs nothing however many points it holds."""
         return range(self.start, self.stop + 1, self.step)
 
+    def count(self) -> int:
+        """How many points; ``len(points())`` overflows past ``sys.maxsize``."""
+        return (self.stop - self.start) // self.step + 1
+
 
 class ScenarioSpec(_Record):
     """A fully validated experiment description."""

@@ -24,9 +24,13 @@ piecewise linear in s, so the first least-overlap start is one of at most
 4N + 2 grid points next to its breakpoints (see ``_least_overlap``). A
 connection placed against N intervals thus costs O(N log N) whatever its
 grid size G, rather than N * G pairwise overlaps, and tsgs costs
-O(N^2 log N) in all. The exhaustive walk scores whole grids on its inner
-levels but skips every subtree whose partial overlap already reaches the
-best cost found.
+O(N^2 log N) in all. The exhaustive walk scores whole grids on entering
+a level and skips every subtree whose partial overlap already reaches the
+best cost found. Its two deepest levels are scored from overlap-difference
+tables instead: every grid is a multiple of one step from 0, so two
+trains' overlap depends only on the difference of their grid indices, and
+a level's scores against one fixed start are one slice of a table built
+once per search.
 
 All strategies report an operation counter with the paper's meaning, in
 closed form, not the work the fast path does: pairwise-overlap
@@ -41,6 +45,7 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Iterable
+from operator import add
 
 from .core import (
     Schedule,
@@ -57,6 +62,15 @@ from .core import (
 ORDERINGS = ("input-order", "deadline-ascending")
 
 ENUMERATION_CAP = 10_000_000
+
+# exhaustive_schedule scores its last level from a table while the last grid
+# has at most _TABLE_RATIO times the 4 * (N - 1) + 2 starts _least_overlap
+# would score per choice (past it, slicing and adding the whole grid costs
+# more), and enters its penultimate level from tables while fewer than
+# _TABLE_LEVELS spans are fixed above it (at 8, summing their slices costs
+# what one prefix-integral pass does)
+_TABLE_RATIO = 8
+_TABLE_LEVELS = 8
 
 
 class InstanceTooLargeError(ValueError):
@@ -217,21 +231,77 @@ def tsgs_schedule(
     )
 
 
+def _trapezoid(
+    grid: range, duration: TimeSpan, other: range, other_duration: TimeSpan
+) -> list[TimeSpan]:
+    """Overlaps of every pair of choices of two levels, by their offset.
+
+    Grids are multiples of one step from 0, so [m * step, m * step + d)
+    and the other level's [k * step, k * step + d') overlap by an amount
+    that depends on k - m only, a trapezoid in the start difference. It is
+    stored at index k - m + len(grid) - 1, so choice m's overlaps with the
+    whole other grid are one slice.
+    """
+    step = grid.step
+    return [
+        max(0, min(duration, delta + other_duration) - max(0, delta))
+        for delta in range(-grid[-1], other[-1] + step, step)
+    ]
+
+
+def _entry_scores(spans: _Spans, tail: list, tables) -> list[list[TimeSpan]]:
+    """Each tail level's overlaps with the fixed spans, choice by choice.
+
+    ``tail`` holds (grid, duration) per level. With ``tables`` (per tail
+    level, the ``_trapezoid`` of each fixed level against it), each span's
+    overlaps are one slice of its table; without, a prefix-integral pass
+    scores each grid.
+    """
+    if tables is None:
+        return [list(_overlaps(grid, d, spans)) for grid, d in tail]
+    vectors = []
+    for (grid, _), column in zip(tail, tables):
+        size = len(grid)
+        total = None
+        for (a, _), table in zip(spans, column):
+            offset = len(table) - size - a // grid.step
+            row = table[offset : offset + size]
+            total = row if total is None else list(map(add, total, row))
+        vectors.append([0] * size if total is None else total)
+    return vectors
+
+
+def _first_least(base: list, row: list) -> tuple[int, TimeSpan]:
+    """The first index of the least base[k] + row[k], and that sum."""
+    scores = list(map(add, base, row))
+    least = min(scores)
+    return scores.index(least), least
+
+
 def exhaustive_schedule(
     requests: list[TransmissionRequest], config: SchedulerConfig
 ) -> ScheduleResult:
     """Enumerate every grid assignment and return a global cost minimum.
 
     Ties break toward the lexicographically smallest start tuple. The
-    walk is depth-first in lexicographic order: entering a level scores
-    its grid against the starts fixed above it, the last level takes its
-    first minimum (as tsgs does), and only strict improvements replace
-    the best. It is a branch and bound: a partial sum never falls with
-    depth, so a choice whose partial sum already reaches the best cost is
-    neither descended into nor, at the last level, scored. Saturated
-    instances can still leave most prefixes of the first N - 1 levels to
-    visit. The counter stays exactly the product of grid sizes (1 for no
-    connections, whose minimum is the empty schedule).
+    walk is depth-first in lexicographic order and only strict
+    improvements replace the best. It is a branch and bound: a partial
+    sum never falls with depth, so a choice whose partial sum already
+    reaches the best cost is neither descended into nor scored.
+    Saturated instances can still leave most prefixes of the first N - 1
+    levels to visit. The counter stays exactly the product of grid sizes
+    (1 for no connections, whose minimum is the empty schedule).
+
+    A level above the penultimate is scored whole on entry against the
+    spans fixed above it. The two deepest levels are scored from
+    ``_trapezoid`` tables: entering the penultimate level sums one slice
+    per fixed span into its scores and the last level's base scores, and
+    each penultimate choice, in grid order, scores the last grid as base
+    plus one slice of the pair's table and takes its first minimum. A last
+    grid longer than ``_TABLE_RATIO`` times the starts ``_least_overlap``
+    scores is scored per choice by it instead, and from ``_TABLE_LEVELS``
+    fixed spans on the entry scores are prefix-integral passes, so tables
+    stay within a constant times the sum of the grid sizes.
 
     Raises:
         InstanceTooLargeError: the product of grid sizes exceeds
@@ -247,22 +317,57 @@ def exhaustive_schedule(
             f"{ENUMERATION_CAP}"
         )
     durations = [compute_duration(req) for req in requests]
-    last = len(requests) - 1
-    best_starts: list[TimePoint] = []
+    levels = list(zip(grids, durations))
+    pen = len(requests) - 2
+    last = pen + 1
+    best_starts = [0] * len(requests)  # fewer than two connections overlap nothing
     best_cost = math.inf
+    if pen >= 0:
+        (pen_grid, pen_duration), (last_grid, last_duration) = levels[pen:]
+        tail = levels[pen:]
+        pair = None
+        if len(last_grid) <= _TABLE_RATIO * (4 * last + 2):
+            pair = _trapezoid(pen_grid, pen_duration, last_grid, last_duration)
+        else:
+            tail.pop()
+        tables = None
+        if pen < _TABLE_LEVELS:
+            tables = [
+                [_trapezoid(*levels[i], grid, d) for i in range(pen)]
+                for grid, d in tail
+            ]
     spans: _Spans = []  # [start, end) of the levels fixed so far
     sums = [0]  # sums[j]: overlap among the first j spans, each pair once
-    pending = []  # per entered level: its choices not yet visited
-    while last >= 0:
-        if len(spans) < last:
+    pending = []  # per entered level above the penultimate: choices not yet visited
+    while pen >= 0:
+        if len(spans) < pen:
             level = len(spans)
             scores = list(_overlaps(grids[level], durations[level], spans))
             pending.append(zip(grids[level], scores))
         else:
-            start, score = _least_overlap(grids[last], durations[last], spans)
-            if sums[-1] + score < best_cost:
-                best_cost = sums[-1] + score
-                best_starts = [a for a, _ in spans] + [start]
+            # the last two levels: each penultimate choice whose partial sum
+            # stays below the best takes the last grid's first minimum
+            entry = _entry_scores(spans, tail, tables)
+            prefix = sums[-1]
+            for k, score in enumerate(entry[0]):
+                partial = prefix + score
+                if partial >= best_cost:
+                    continue
+                start = pen_grid[k]
+                if pair is None:
+                    placed = spans + [(start, start + pen_duration)]
+                    least_start, least = _least_overlap(
+                        last_grid, last_duration, placed
+                    )
+                else:
+                    offset = len(pen_grid) - 1 - k
+                    index, least = _first_least(
+                        entry[1], pair[offset : offset + len(last_grid)]
+                    )
+                    least_start = last_grid[index]
+                if partial + least < best_cost:
+                    best_cost = partial + least
+                    best_starts = [a for a, _ in spans] + [start, least_start]
         # fix the next choice whose partial sum stays below the best, at the
         # deepest level that has one; stop when no level has
         while pending:

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import txsched
-from txsched import read_table
+from txsched import experiment, read_table
 from txsched.cli import main, resolve_scenario
 
 SMALL = """\
@@ -47,6 +47,13 @@ class TestValidate:
     def test_missing_file(self, capsys):
         assert main(["validate", "/no/such/file.scn"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_sweep_too_long_for_len_is_counted(self, tmp_path, capsys):
+        # len() of a range past sys.maxsize raises OverflowError
+        huge = tmp_path / "huge.scn"
+        huge.write_text(SMALL + f"sweep start 0us stop {10**30}us step 1us\n")
+        assert main(["validate", str(huge)]) == 0
+        assert capsys.readouterr().out.endswith(f", {10**30 + 1} sweep points\n")
 
     def test_invalid_scenario(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
@@ -134,6 +141,23 @@ class TestSweep:
             line.split(",")[0] for line in out.read_text().splitlines()[1:]
         }
         assert windows == {"162", "324", "486"}
+
+    def test_unbounded_sweep_refused_before_any_work(self, monkeypatch, capsys):
+        # validate counts these 10**12 + 1 points; running them would hold
+        # 2 x 21 rows per point until memory runs out
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(experiment, "rescale_requests", no_work)
+        monkeypatch.setattr(experiment, "simulate", no_work)
+        argv = ["sweep", "table2", "--start", "0us", "--stop", "1000000000000us",
+                "--step", "1us"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: run too large: 42000000000042 rows and 4000000000004000 "
+            "simulated packets exceed the caps of 1000000 rows and "
+            "1000000000 packets\n"
+        )
 
     def test_invalid_grid(self, small_scn, capsys):
         code = main(

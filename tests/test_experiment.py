@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from txsched import (
     ChannelConfig,
     MissingSchedulerError,
+    ScenarioError,
     ScenarioSpec,
     SchedulerConfig,
     SweepRow,
@@ -140,6 +141,36 @@ class TestRunExperiment:
         table = run_experiment(parse_scenario(text))
         assert {r.window_us for r in table.rows} == {-1}
         assert len(table.seed_rows()) == 9
+
+    @pytest.mark.parametrize(
+        "cap, sweep, rows, packets",
+        [
+            # 3 points x 3 schedulers x (3 seeds + 1) rows; 27 runs of 4 packets
+            ("MAX_ROWS", True, 36, 108),
+            ("MAX_PACKETS", True, 36, 108),
+            # without a sweep, one point
+            ("MAX_ROWS", False, 12, 36),
+        ],
+    )
+    def test_caps_refuse_before_any_work(self, monkeypatch, cap, sweep, rows, packets):
+        text = SMALL if sweep else SMALL.replace(
+            "sweep start 243us stop 729us step 243us\n", ""
+        )
+        spec = parse_scenario(text)
+        monkeypatch.setattr(experiment, cap, rows if cap == "MAX_ROWS" else packets)
+        assert len(run_experiment(spec).rows) == rows
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(experiment, cap, getattr(experiment, cap) - 1)
+        monkeypatch.setattr(experiment, "run_scheduler", no_work)
+        monkeypatch.setattr(experiment, "simulate", no_work)
+        with pytest.raises(
+            ScenarioError,
+            match=f"^run too large: {rows} rows and {packets} simulated packets ",
+        ):
+            run_experiment(spec)
 
     def test_unknown_scheduler_name(self):
         requests = parse_scenario(SMALL).requests

@@ -21,6 +21,9 @@ from txsched import (
     candidate_grid,
     compute_duration,
     exhaustive_schedule,
+    feasible,
+    random_schedule,
+    rescale_requests,
     schedulers,
     simulate,
     simulator,
@@ -64,6 +67,22 @@ def test_exhaustive_equals_reference(instance):
     requests, config = instance
     expected = reference.exhaustive(requests, config)
     assert exhaustive_schedule(requests, config) == expected
+
+
+@PROPERTY
+@given(instances(), st.integers(0, 2**16))
+def test_schedules_feasible_and_oracle_below_greedy_below_worst(instance, seed):
+    requests, config = instance
+    greedy = tsgs_schedule(requests, config)
+    oracle = exhaustive_schedule(requests, config)
+    drawn = random_schedule(requests, config, seed)
+    for result in (greedy, oracle, drawn):
+        assert feasible(result.schedule, requests, config.margin)
+    grids = [candidate_grid(req, config) for req in requests]
+    worst = max(
+        total_cost(Schedule(starts), requests) for starts in itertools.product(*grids)
+    )
+    assert oracle.cost <= greedy.cost <= worst
 
 
 @st.composite
@@ -166,16 +185,32 @@ def saturated_instances(draw, max_n=4, max_sigma=5):
 
 
 def test_saturated_exhaustive_equals_reference(monkeypatch):
-    # _overlaps is called once per entered level (the last level through
-    # _least_overlap), with the spans fixed above it
+    # each entered level is recorded once per entry: a level above the
+    # penultimate calls _overlaps with the spans fixed above it, the
+    # penultimate level _entry_scores, and the last level (these grids are
+    # short enough for its table) _first_least once per penultimate
+    # choice scanned
     entered = []
+    last = []
     overlaps = schedulers._overlaps
+    entry_scores = schedulers._entry_scores
+    first_least = schedulers._first_least
 
-    def counted(starts, duration, spans):
+    def counted_overlaps(starts, duration, spans):
         entered.append(len(spans))
         return overlaps(starts, duration, spans)
 
-    monkeypatch.setattr(schedulers, "_overlaps", counted)
+    def counted_entry(spans, *args):
+        entered.append(len(spans))
+        return entry_scores(spans, *args)
+
+    def counted_least(base, row):
+        entered.append(last[0])
+        return first_least(base, row)
+
+    monkeypatch.setattr(schedulers, "_overlaps", counted_overlaps)
+    monkeypatch.setattr(schedulers, "_entry_scores", counted_entry)
+    monkeypatch.setattr(schedulers, "_first_least", counted_least)
     reached = set()
 
     @PROPERTY
@@ -184,6 +219,7 @@ def test_saturated_exhaustive_equals_reference(monkeypatch):
         requests, config = instance
         expected = reference.exhaustive(requests, config)
         entered.clear()
+        last[:] = [len(requests) - 1]
         assert exhaustive_schedule(requests, config) == expected
         if expected.cost == 0:
             return
@@ -209,6 +245,133 @@ def test_saturated_exhaustive_equals_reference(monkeypatch):
         "3 levels, cut below the first",
         "4 levels, cut below the first",
     }
+
+
+@st.composite
+def switch_instances(draw):
+    """Two to five trains whose last grid has one point below, at, or one
+    or two points above exhaustive's switch point, ``_TABLE_RATIO`` times
+    the 4 * (N - 1) + 2 starts ``_least_overlap`` scores: up to it the last
+    level is scored from its table, past it choice by choice. Upper grids
+    have one to three points. Trains run from one step to twice the last
+    window, so some instances fit without overlap (the last grid then
+    ties at zero) and others cannot."""
+    n = draw(st.integers(2, 5))
+    step = draw(st.integers(1, 20))
+    switch = schedulers._TABLE_RATIO * (4 * (n - 1) + 2)
+    sizes = [draw(st.integers(1, 3 if n <= 3 else 2)) for _ in range(n - 1)]
+    sizes.append(switch + draw(st.sampled_from((-1, 0, 1, 2))))
+    requests = []
+    for i, size in enumerate(sizes):
+        length = draw(st.integers(step, 2 * switch * step))
+        window = (size - 1) * step + draw(st.integers(0, step - 1))
+        requests.append(TransmissionRequest(i, length + window, 1, length))
+    return requests, SchedulerConfig(step=step)
+
+
+def test_exhaustive_switch_point_equals_reference(monkeypatch):
+    # the last level is scored by _first_least (from its table) or by
+    # _least_overlap (choice by choice), never both in one search
+    branches = []
+    first_least = schedulers._first_least
+    least_overlap = schedulers._least_overlap
+
+    def counted_table(base, row):
+        branches.append("table")
+        return first_least(base, row)
+
+    def counted_choice(grid, duration, spans):
+        branches.append("per choice")
+        return least_overlap(grid, duration, spans)
+
+    monkeypatch.setattr(schedulers, "_first_least", counted_table)
+    monkeypatch.setattr(schedulers, "_least_overlap", counted_choice)
+    reached = set()
+
+    @settings(PROPERTY, max_examples=120)
+    @given(switch_instances())
+    def check(instance):
+        requests, config = instance
+        expected = reference.exhaustive(requests, config)
+        branches.clear()
+        assert exhaustive_schedule(requests, config) == expected
+        n = len(requests)
+        tabled = len(candidate_grid(requests[-1], config)) <= (
+            schedulers._TABLE_RATIO * (4 * (n - 1) + 2)
+        )
+        assert set(branches) == {"table" if tabled else "per choice"}
+        reached.add((n, set(branches).pop()))
+
+    check()
+    assert reached == {
+        (n, branch) for n in range(2, 6) for branch in ("table", "per choice")
+    }
+
+
+@st.composite
+def many_level_instances(draw):
+    """One span fewer than ``_TABLE_LEVELS`` above the penultimate level,
+    or as many or one more, on grids of one to three points: the
+    penultimate level is entered from tables or by prefix-integral
+    passes."""
+    pen = schedulers._TABLE_LEVELS + draw(st.integers(-1, 1))
+    step = draw(st.integers(1, 10))
+    requests = []
+    for i in range(pen + 2):
+        size = draw(st.sampled_from((1, 1, 2) if i < pen else (1, 2, 3)))
+        length = draw(st.integers(step, 4 * step))
+        window = (size - 1) * step + draw(st.integers(0, step - 1))
+        requests.append(TransmissionRequest(i, length + window, 1, length))
+    return requests, SchedulerConfig(step=step)
+
+
+def test_exhaustive_many_levels_equal_reference(monkeypatch):
+    # only the prefix-integral entry calls _overlaps with the spans of every
+    # level above the penultimate fixed
+    fixed = []
+    overlaps = schedulers._overlaps
+
+    def counted(starts, duration, spans):
+        fixed.append(len(spans))
+        return overlaps(starts, duration, spans)
+
+    monkeypatch.setattr(schedulers, "_overlaps", counted)
+    reached = set()
+
+    @settings(PROPERTY, max_examples=40)
+    @given(many_level_instances())
+    def check(instance):
+        requests, config = instance
+        expected = reference.exhaustive(requests, config)
+        fixed.clear()
+        assert exhaustive_schedule(requests, config) == expected
+        pen = len(requests) - 2
+        tabled = pen < schedulers._TABLE_LEVELS
+        assert (pen in fixed) is not tabled
+        reached.add(tabled)
+
+    check()
+    assert reached == {True, False}
+
+
+# the benchmark's oracle trains as (packets, airtime), on a 58 us overhead and
+# a 300 us step; its seeds deal them to the three connections in any order
+ORACLE_TRAINS = ((40, 47), (50, 31), (30, 23))
+
+
+@pytest.mark.parametrize("window", (3000, 6000, 9000))
+@pytest.mark.parametrize(
+    "order", ["".join(order) for order in itertools.permutations("012")]
+)
+def test_oracle_windows_equal_reference(order, window):
+    config = SchedulerConfig(step=300)
+    trains = [
+        TransmissionRequest(i, 10**6, *ORACLE_TRAINS[int(k)], 58)
+        for i, k in enumerate(order)
+    ]
+    requests = rescale_requests(trains, window, config)
+    expected = reference.exhaustive(requests, config)
+    assert exhaustive_schedule(requests, config) == expected
 
 
 @PROPERTY

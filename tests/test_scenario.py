@@ -156,6 +156,13 @@ class TestParsing:
         assert len(WindowSweep(0, 10**15 - 1, 1).points()) == 10**15
         assert len(WindowSweep(5, 10**15, 10**9).points()) == 10**6
 
+    def test_sweep_count_is_len_of_points_without_its_limit(self):
+        for sweep in (WindowSweep(10, 50, 20), WindowSweep(10, 49, 20),
+                      WindowSweep(0, 0, 5), WindowSweep(5, 10**15, 10**9)):
+            assert sweep.count() == len(sweep.points())
+        # len() raises OverflowError past sys.maxsize
+        assert WindowSweep(0, 10**30, 1).count() == 10**30 + 1
+
 
 class TestErrors:
     def expect(self, text, fragment, line=None):

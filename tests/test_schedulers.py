@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -226,6 +227,41 @@ class TestExhaustive:
         assert exhaustive_schedule(requests, config) == exhaustive_schedule(
             requests, config
         )
+
+    @staticmethod
+    def traced(requests, config):
+        """The search's result and its peak traced allocation in bytes."""
+        tracemalloc.start()
+        try:
+            result = exhaustive_schedule(requests, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak
+
+    def test_last_grid_at_the_cap_allocates_nothing_by_grid(self):
+        # a one-point first grid and a last grid of ENUMERATION_CAP points:
+        # past the switch point, so the last level is scored per choice and
+        # no table of the last grid is built; never enumerate this
+        cap = schedulers.ENUMERATION_CAP
+        rs = [req(10, 10, id=0), req(cap - 1 + 10, 10, id=1)]
+        result, peak = self.traced(rs, SchedulerConfig(step=1))
+        assert len(candidate_grid(rs[1], SchedulerConfig(step=1))) == cap
+        assert result.schedule.starts == (0, 10)
+        assert result.cost == 0
+        assert result.candidate_evaluations == cap
+        assert peak < 1 << 20
+
+    def test_long_last_grid_of_three_allocates_nothing_by_grid(self):
+        # [0, 100) is fixed and [k, k + 100) overlaps it by 100 - k for k in
+        # {0, 1, 2}; the 50 us last train first fits free at 100 + k, among
+        # 10**5 starts, so k = 2 is best and each pair counts twice
+        rs = [req(100, 100, id=0), req(102, 100, id=1), req(10**5 - 1 + 50, 50, id=2)]
+        result, peak = self.traced(rs, SchedulerConfig(step=1))
+        assert result.schedule.starts == (0, 2, 102)
+        assert result.cost == 2 * 98
+        assert result.candidate_evaluations == 3 * 10**5
+        assert peak < 1 << 20
 
 
 class TestRandom:
