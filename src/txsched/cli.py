@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .experiment import (
     _require_comparison,
+    check_run_size,
     emit,
     format_summary,
     render,
@@ -123,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     spec = load_scenario(resolve_scenario(args.scenario))
+    check_run_size(spec)  # a scenario that validates also runs
     print(
         f"ok: {len(spec.requests)} connections, "
         f"{len(spec.schedulers)} schedulers, {len(spec.seeds)} seeds"

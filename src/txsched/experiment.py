@@ -113,6 +113,28 @@ def run_scheduler(
     raise ValueError(f"unknown scheduler {name!r}")
 
 
+def check_run_size(spec: ScenarioSpec) -> tuple[int, int]:
+    """The rows and simulated packets ``run_experiment`` would make.
+
+    Rows are points x schedulers x (seeds + 1) and packets are points x
+    schedulers x seeds x the packets of all connections, counted by
+    arithmetic however long the sweep.
+
+    Raises:
+        ScenarioError: the rows exceed ``MAX_ROWS`` or the packets
+            ``MAX_PACKETS``; the message names both counts.
+    """
+    groups = (1 if spec.sweep is None else spec.sweep.count()) * len(spec.schedulers)
+    rows = groups * (len(spec.seeds) + 1)
+    packets = groups * len(spec.seeds) * sum(req.packet_count for req in spec.requests)
+    if rows > MAX_ROWS or packets > MAX_PACKETS:
+        raise ScenarioError(
+            f"run too large: {rows} rows and {packets} simulated packets "
+            f"exceed the caps of {MAX_ROWS} rows and {MAX_PACKETS} packets"
+        )
+    return rows, packets
+
+
 def run_experiment(spec: ScenarioSpec) -> SweepTable:
     """Run every (window, scheduler, seed) combination of the scenario.
 
@@ -126,20 +148,12 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
     Deterministic: the same spec yields an identical table.
 
     Raises:
-        ScenarioError: the rows (points x schedulers x (seeds + 1)) or the
-            simulated packets exceed ``MAX_ROWS`` or ``MAX_PACKETS``;
-            both are counted before any work.
+        ScenarioError: ``check_run_size`` refuses the scenario; nothing
+            is scheduled or simulated then.
     """
     points = spec.sweep.points() if spec.sweep is not None else [NATIVE_WINDOW]
     seeds = sorted(spec.seeds)
-    groups = (1 if spec.sweep is None else spec.sweep.count()) * len(spec.schedulers)
-    row_count = groups * (len(seeds) + 1)
-    packets = groups * len(seeds) * sum(req.packet_count for req in spec.requests)
-    if row_count > MAX_ROWS or packets > MAX_PACKETS:
-        raise ScenarioError(
-            f"run too large: {row_count} rows and {packets} simulated packets "
-            f"exceed the caps of {MAX_ROWS} rows and {MAX_PACKETS} packets"
-        )
+    check_run_size(spec)
     rows: list[SweepRow] = []
     memo: dict = {}  # simulate's, for this call only
     for window_us in points:

@@ -26,11 +26,11 @@ connection placed against N intervals thus costs O(N log N) whatever its
 grid size G, rather than N * G pairwise overlaps, and tsgs costs
 O(N^2 log N) in all. The exhaustive walk scores whole grids on entering
 a level and skips every subtree whose partial overlap already reaches the
-best cost found. Its two deepest levels are scored from overlap-difference
-tables instead: every grid is a multiple of one step from 0, so two
+best cost found. Its last level is scored from an overlap-difference
+table instead: every grid is a multiple of one step from 0, so two
 trains' overlap depends only on the difference of their grid indices, and
-a level's scores against one fixed start are one slice of a table built
-once per search.
+the last level's scores against one penultimate start are one slice of a
+table built once per search.
 
 All strategies report an operation counter with the paper's meaning, in
 closed form, not the work the fast path does: pairwise-overlap
@@ -65,12 +65,11 @@ ENUMERATION_CAP = 10_000_000
 
 # exhaustive_schedule scores its last level from a table while the last grid
 # has at most _TABLE_RATIO times the 4 * (N - 1) + 2 starts _least_overlap
-# would score per choice (past it, slicing and adding the whole grid costs
-# more), and enters its penultimate level from tables while fewer than
-# _TABLE_LEVELS spans are fixed above it (at 8, summing their slices costs
-# what one prefix-integral pass does)
-_TABLE_RATIO = 8
-_TABLE_LEVELS = 8
+# would score per choice; past it, slicing and adding the whole grid costs
+# more than scoring those starts. Timed on saturated searches at N = 2 to 5,
+# the table stopped winning from 22-37, 50-65, 60-80 and 70-90 last-grid
+# points, so 5 puts the switch at 30, 50, 70 and 90.
+_TABLE_RATIO = 5
 
 
 class InstanceTooLargeError(ValueError):
@@ -249,28 +248,6 @@ def _trapezoid(
     ]
 
 
-def _entry_scores(spans: _Spans, tail: list, tables) -> list[list[TimeSpan]]:
-    """Each tail level's overlaps with the fixed spans, choice by choice.
-
-    ``tail`` holds (grid, duration) per level. With ``tables`` (per tail
-    level, the ``_trapezoid`` of each fixed level against it), each span's
-    overlaps are one slice of its table; without, a prefix-integral pass
-    scores each grid.
-    """
-    if tables is None:
-        return [list(_overlaps(grid, d, spans)) for grid, d in tail]
-    vectors = []
-    for (grid, _), column in zip(tail, tables):
-        size = len(grid)
-        total = None
-        for (a, _), table in zip(spans, column):
-            offset = len(table) - size - a // grid.step
-            row = table[offset : offset + size]
-            total = row if total is None else list(map(add, total, row))
-        vectors.append([0] * size if total is None else total)
-    return vectors
-
-
 def _first_least(base: list, row: list) -> tuple[int, TimeSpan]:
     """The first index of the least base[k] + row[k], and that sum."""
     scores = list(map(add, base, row))
@@ -292,16 +269,15 @@ def exhaustive_schedule(
     levels to visit. The counter stays exactly the product of grid sizes
     (1 for no connections, whose minimum is the empty schedule).
 
-    A level above the penultimate is scored whole on entry against the
-    spans fixed above it. The two deepest levels are scored from
-    ``_trapezoid`` tables: entering the penultimate level sums one slice
-    per fixed span into its scores and the last level's base scores, and
-    each penultimate choice, in grid order, scores the last grid as base
-    plus one slice of the pair's table and takes its first minimum. A last
-    grid longer than ``_TABLE_RATIO`` times the starts ``_least_overlap``
-    scores is scored per choice by it instead, and from ``_TABLE_LEVELS``
-    fixed spans on the entry scores are prefix-integral passes, so tables
-    stay within a constant times the sum of the grid sizes.
+    Every level but the last is scored whole on entry against the spans
+    fixed above it. Entering the penultimate level also scores the last
+    grid against those spans, its base scores. Each penultimate choice, in
+    grid order, then scores the last grid as base plus one slice of the
+    (penultimate, last) ``_trapezoid`` table and takes its first minimum.
+    A last grid longer than ``_TABLE_RATIO`` times the starts
+    ``_least_overlap`` scores is scored per choice by it instead and gets
+    no table, so the table stays within a constant times the sum of the
+    grid sizes.
 
     Raises:
         InstanceTooLargeError: the product of grid sizes exceeds
@@ -317,25 +293,16 @@ def exhaustive_schedule(
             f"{ENUMERATION_CAP}"
         )
     durations = [compute_duration(req) for req in requests]
-    levels = list(zip(grids, durations))
     pen = len(requests) - 2
     last = pen + 1
     best_starts = [0] * len(requests)  # fewer than two connections overlap nothing
     best_cost = math.inf
     if pen >= 0:
-        (pen_grid, pen_duration), (last_grid, last_duration) = levels[pen:]
-        tail = levels[pen:]
+        pen_grid, last_grid = grids[pen:]
+        pen_duration, last_duration = durations[pen:]
         pair = None
         if len(last_grid) <= _TABLE_RATIO * (4 * last + 2):
             pair = _trapezoid(pen_grid, pen_duration, last_grid, last_duration)
-        else:
-            tail.pop()
-        tables = None
-        if pen < _TABLE_LEVELS:
-            tables = [
-                [_trapezoid(*levels[i], grid, d) for i in range(pen)]
-                for grid, d in tail
-            ]
     spans: _Spans = []  # [start, end) of the levels fixed so far
     sums = [0]  # sums[j]: overlap among the first j spans, each pair once
     pending = []  # per entered level above the penultimate: choices not yet visited
@@ -347,9 +314,10 @@ def exhaustive_schedule(
         else:
             # the last two levels: each penultimate choice whose partial sum
             # stays below the best takes the last grid's first minimum
-            entry = _entry_scores(spans, tail, tables)
+            if pair is not None:
+                base = list(_overlaps(last_grid, last_duration, spans))
             prefix = sums[-1]
-            for k, score in enumerate(entry[0]):
+            for k, score in enumerate(_overlaps(pen_grid, pen_duration, spans)):
                 partial = prefix + score
                 if partial >= best_cost:
                     continue
@@ -362,7 +330,7 @@ def exhaustive_schedule(
                 else:
                     offset = len(pen_grid) - 1 - k
                     index, least = _first_least(
-                        entry[1], pair[offset : offset + len(last_grid)]
+                        base, pair[offset : offset + len(last_grid)]
                     )
                     least_start = last_grid[index]
                 if partial + least < best_cost:

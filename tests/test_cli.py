@@ -48,12 +48,37 @@ class TestValidate:
         assert main(["validate", "/no/such/file.scn"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_sweep_too_long_for_len_is_counted(self, tmp_path, capsys):
-        # len() of a range past sys.maxsize raises OverflowError
+    def test_sweep_too_long_for_len_is_refused(self, tmp_path, capsys):
+        # len() of a range past sys.maxsize raises OverflowError; the points
+        # are counted by arithmetic and the run refused, as run refuses it
+        points = 10**30 + 1
         huge = tmp_path / "huge.scn"
         huge.write_text(SMALL + f"sweep start 0us stop {10**30}us step 1us\n")
-        assert main(["validate", str(huge)]) == 0
-        assert capsys.readouterr().out.endswith(f", {10**30 + 1} sweep points\n")
+        for verb in ("validate", "run"):
+            assert main([verb, str(huge)]) == 1
+            assert capsys.readouterr().err.startswith(
+                f"error: run too large: {points * 2 * 3} rows and "
+                f"{points * 2 * 2 * 4} simulated packets "
+            )
+
+    def test_validate_refuses_what_sweep_refuses(self, tmp_path, capsys):
+        # table2 with the 10**12-point sweep that
+        # TestSweep.test_unbounded_sweep_refused_before_any_work runs
+        text = resolve_scenario("table2").read_text()
+        assert "sweep start 3280us stop 32800us step 3280us\n" in text
+        huge = tmp_path / "huge.scn"
+        huge.write_text(text.replace(
+            "sweep start 3280us stop 32800us step 3280us\n",
+            "sweep start 0us stop 1000000000000us step 1us\n",
+        ))
+        assert main(["validate", str(huge)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: run too large: 42000000000042 rows and 4000000000004000 "
+            "simulated packets exceed the caps of 1000000 rows and "
+            "1000000000 packets\n"
+        )
 
     def test_invalid_scenario(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

@@ -158,6 +158,7 @@ class TestRunExperiment:
         )
         spec = parse_scenario(text)
         monkeypatch.setattr(experiment, cap, rows if cap == "MAX_ROWS" else packets)
+        assert experiment.check_run_size(spec) == (rows, packets)
         assert len(run_experiment(spec).rows) == rows
 
         def no_work(*args, **kwargs):

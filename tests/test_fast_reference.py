@@ -185,31 +185,25 @@ def saturated_instances(draw, max_n=4, max_sigma=5):
 
 
 def test_saturated_exhaustive_equals_reference(monkeypatch):
-    # each entered level is recorded once per entry: a level above the
-    # penultimate calls _overlaps with the spans fixed above it, the
-    # penultimate level _entry_scores, and the last level (these grids are
-    # short enough for its table) _first_least once per penultimate
-    # choice scanned
+    # _overlaps is called once per entered level with the spans fixed above
+    # it, and entering the penultimate level calls it once more for the last
+    # grid's base scores (these grids are short enough for its table); the
+    # last level is recorded once per penultimate choice scanned, through
+    # _first_least
     entered = []
     last = []
     overlaps = schedulers._overlaps
-    entry_scores = schedulers._entry_scores
     first_least = schedulers._first_least
 
     def counted_overlaps(starts, duration, spans):
         entered.append(len(spans))
         return overlaps(starts, duration, spans)
 
-    def counted_entry(spans, *args):
-        entered.append(len(spans))
-        return entry_scores(spans, *args)
-
     def counted_least(base, row):
         entered.append(last[0])
         return first_least(base, row)
 
     monkeypatch.setattr(schedulers, "_overlaps", counted_overlaps)
-    monkeypatch.setattr(schedulers, "_entry_scores", counted_entry)
     monkeypatch.setattr(schedulers, "_first_least", counted_least)
     reached = set()
 
@@ -233,6 +227,8 @@ def test_saturated_exhaustive_equals_reference(monkeypatch):
         # a level is cut when fewer of its choices are entered than it
         # has; level 0 scores 0 everywhere, so only a zero best cuts it
         entries = Counter(entered)
+        assert entries[last[0] - 1] % 2 == 0
+        entries[last[0] - 1] //= 2
         if all(
             entries[level + 1] < entries[level] * len(grids[level])
             for level in range(1, len(grids) - 1)
@@ -247,29 +243,36 @@ def test_saturated_exhaustive_equals_reference(monkeypatch):
     }
 
 
+# how far past exhaustive's switch point each branch's last grids reach
+SWITCH_OFFSETS = {"table": (-1, 0), "per choice": (1, 2)}
+
+
 @st.composite
-def switch_instances(draw):
-    """Two to five trains whose last grid has one point below, at, or one
-    or two points above exhaustive's switch point, ``_TABLE_RATIO`` times
-    the 4 * (N - 1) + 2 starts ``_least_overlap`` scores: up to it the last
+def switch_instances(draw, n, branch):
+    """n trains whose last grid has one point below or at exhaustive's
+    switch point (the "table" branch) or one or two points above it (the
+    "per choice" branch). The switch is ``_TABLE_RATIO`` times the
+    4 * (N - 1) + 2 starts ``_least_overlap`` scores: up to it the last
     level is scored from its table, past it choice by choice. Upper grids
     have one to three points. Trains run from one step to twice the last
     window, so some instances fit without overlap (the last grid then
-    ties at zero) and others cannot."""
-    n = draw(st.integers(2, 5))
+    ties at zero) and others cannot. Returns the offset drawn too."""
     step = draw(st.integers(1, 20))
     switch = schedulers._TABLE_RATIO * (4 * (n - 1) + 2)
+    offset = draw(st.sampled_from(SWITCH_OFFSETS[branch]))
     sizes = [draw(st.integers(1, 3 if n <= 3 else 2)) for _ in range(n - 1)]
-    sizes.append(switch + draw(st.sampled_from((-1, 0, 1, 2))))
+    sizes.append(switch + offset)
     requests = []
     for i, size in enumerate(sizes):
         length = draw(st.integers(step, 2 * switch * step))
         window = (size - 1) * step + draw(st.integers(0, step - 1))
         requests.append(TransmissionRequest(i, length + window, 1, length))
-    return requests, SchedulerConfig(step=step)
+    return (requests, SchedulerConfig(step=step)), offset
 
 
-def test_exhaustive_switch_point_equals_reference(monkeypatch):
+@pytest.mark.parametrize("branch", SWITCH_OFFSETS)
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_exhaustive_switch_point_equals_reference(monkeypatch, n, branch):
     # the last level is scored by _first_least (from its table) or by
     # _least_overlap (choice by choice), never both in one search
     branches = []
@@ -286,72 +289,20 @@ def test_exhaustive_switch_point_equals_reference(monkeypatch):
 
     monkeypatch.setattr(schedulers, "_first_least", counted_table)
     monkeypatch.setattr(schedulers, "_least_overlap", counted_choice)
-    reached = set()
+    offsets = set()
 
-    @settings(PROPERTY, max_examples=120)
-    @given(switch_instances())
-    def check(instance):
-        requests, config = instance
+    @settings(PROPERTY, max_examples=30)
+    @given(switch_instances(n, branch))
+    def check(drawn):
+        (requests, config), offset = drawn
         expected = reference.exhaustive(requests, config)
         branches.clear()
         assert exhaustive_schedule(requests, config) == expected
-        n = len(requests)
-        tabled = len(candidate_grid(requests[-1], config)) <= (
-            schedulers._TABLE_RATIO * (4 * (n - 1) + 2)
-        )
-        assert set(branches) == {"table" if tabled else "per choice"}
-        reached.add((n, set(branches).pop()))
+        assert set(branches) == {branch}
+        offsets.add(offset)
 
     check()
-    assert reached == {
-        (n, branch) for n in range(2, 6) for branch in ("table", "per choice")
-    }
-
-
-@st.composite
-def many_level_instances(draw):
-    """One span fewer than ``_TABLE_LEVELS`` above the penultimate level,
-    or as many or one more, on grids of one to three points: the
-    penultimate level is entered from tables or by prefix-integral
-    passes."""
-    pen = schedulers._TABLE_LEVELS + draw(st.integers(-1, 1))
-    step = draw(st.integers(1, 10))
-    requests = []
-    for i in range(pen + 2):
-        size = draw(st.sampled_from((1, 1, 2) if i < pen else (1, 2, 3)))
-        length = draw(st.integers(step, 4 * step))
-        window = (size - 1) * step + draw(st.integers(0, step - 1))
-        requests.append(TransmissionRequest(i, length + window, 1, length))
-    return requests, SchedulerConfig(step=step)
-
-
-def test_exhaustive_many_levels_equal_reference(monkeypatch):
-    # only the prefix-integral entry calls _overlaps with the spans of every
-    # level above the penultimate fixed
-    fixed = []
-    overlaps = schedulers._overlaps
-
-    def counted(starts, duration, spans):
-        fixed.append(len(spans))
-        return overlaps(starts, duration, spans)
-
-    monkeypatch.setattr(schedulers, "_overlaps", counted)
-    reached = set()
-
-    @settings(PROPERTY, max_examples=40)
-    @given(many_level_instances())
-    def check(instance):
-        requests, config = instance
-        expected = reference.exhaustive(requests, config)
-        fixed.clear()
-        assert exhaustive_schedule(requests, config) == expected
-        pen = len(requests) - 2
-        tabled = pen < schedulers._TABLE_LEVELS
-        assert (pen in fixed) is not tabled
-        reached.add(tabled)
-
-    check()
-    assert reached == {True, False}
+    assert offsets == set(SWITCH_OFFSETS[branch])
 
 
 # the benchmark's oracle trains as (packets, airtime), on a 58 us overhead and
