@@ -14,6 +14,8 @@ assignment, and ``replace(**changes)`` returns a checked copy.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 TimePoint = int
 TimeSpan = int
 
@@ -24,50 +26,63 @@ class _Record:
     A subclass declares its fields once, in ``__slots__``, in constructor
     order. Trailing fields may take defaults from a ``_defaults`` dict of
     field name to value. When the subclass is created, ``_Record`` writes
-    its ``__init__``: one parameter per field, each field set in turn,
+    its ``__init__``: one parameter per field, each field stored through
+    its slot's member descriptor (``Cls.field.__set__``, bound once here),
     then ``self._check()`` if the subclass defines one. ``_check`` reads
     the fields and raises ``ValueError`` on a bad value. A subclass that
     must convert a value before storing it (``ComparisonSummary`` keeps a
     read-only copy of its dict) writes its own ``__init__``, setting each
     field through ``object.__setattr__``.
 
-    Records compare and hash as the tuple of their fields, and only to
-    records of the same class; ``repr`` reads ``Name(field=value, ...)``.
-    ``replace``, ``copy``, ``deepcopy`` and ``pickle`` all rebuild a
-    record through its constructor, so every copy is checked again.
+    The fields are read back together through one ``operator.attrgetter``
+    per class, ``_fields``, which always gives a tuple. Records compare
+    and hash as that tuple, and only to records of the same class;
+    ``repr`` reads ``Name(field=value, ...)``. ``replace``, ``copy``,
+    ``deepcopy`` and ``pickle`` all rebuild a record through its
+    constructor, so every copy is checked again.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        fields = cls.__slots__
+        get = attrgetter(*fields)
+        if len(fields) == 1:
+            get_one = get
+
+            def get(record):
+                return (get_one(record),)
+
+        cls._fields = staticmethod(get)
         if "__init__" in cls.__dict__:
             return
         defaults = cls.__dict__.get("_defaults", {})
         parameters = ", ".join(
             f"{name}=_defaults[{name!r}]" if name in defaults else name
-            for name in cls.__slots__
+            for name in fields
         )
-        lines = [f"    _set(self, {name!r}, {name})" for name in cls.__slots__]
+        lines = [f"    _set{i}(self, {name})" for i, name in enumerate(fields)]
         if hasattr(cls, "_check"):
             lines.append("    self._check()")
-        namespace = {"_set": object.__setattr__, "_defaults": defaults}
+        namespace = {
+            f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(fields)
+        }
+        namespace["_defaults"] = defaults
         exec(f"def __init__(self, {parameters}):\n" + "\n".join(lines), namespace)
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__module__ = cls.__module__
         cls.__init__ = init
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        get = self._fields
+        return get(self) == get(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -80,7 +95,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        return self.__class__, self._fields(self)
 
     def replace(self, **changes):
         """A copy with the named fields changed, checked by the constructor."""

@@ -26,7 +26,7 @@ from .schedulers import (
     random_schedule,
     tsgs_schedule,
 )
-from .simulator import collision_summary, pdr, simulate
+from .simulator import _rates, simulate
 
 NATIVE_WINDOW = -1
 
@@ -179,19 +179,19 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
                 report = simulate(
                     list(requests), result.schedule, spec.channel, seed, memo=memo
                 )
+                received, collided = [], []
+                sent = delay = 0
+                for c in report.per_connection:
+                    received.append(c.received)
+                    collided.append(c.collided)
+                    sent += c.sent
+                    delay += c.delay_total_us
+                ratio, mean_delay = _rates(sent, sum(received), delay)
                 group.append(
                     SweepRow(
-                        window_us=window_us,
-                        scheduler=name,
-                        seed=seed,
-                        pdr=pdr(report),
-                        cost_us=result.cost,
-                        candidate_evals=result.candidate_evaluations,
-                        collisions=tuple(collision_summary(report)),
-                        received=tuple(
-                            c.received for c in report.per_connection
-                        ),
-                        mean_delay_us=report.mean_delay_us,
+                        window_us, name, seed, ratio, result.cost,
+                        result.candidate_evaluations, tuple(collided),
+                        tuple(received), mean_delay,
                     )
                 )
             rows.extend(group)
@@ -207,19 +207,21 @@ def _mean(values) -> float:
 
 
 def _aggregate(group: list[SweepRow]) -> SweepRow:
-    n = len(group[0].collisions)
+    first = group[0]
+    n = len(first.collisions)
+    means = [
+        _mean(column) for column in zip(*[r.collisions + r.received for r in group])
+    ]
     return SweepRow(
-        window_us=group[0].window_us,
-        scheduler=group[0].scheduler,
-        seed="mean",
-        pdr=_mean(r.pdr for r in group),
-        cost_us=_mean(r.cost_us for r in group),
-        candidate_evals=_mean(r.candidate_evals for r in group),
-        collisions=tuple(
-            _mean(r.collisions[i] for r in group) for i in range(n)
-        ),
-        received=tuple(_mean(r.received[i] for r in group) for i in range(n)),
-        mean_delay_us=_mean(r.mean_delay_us for r in group),
+        first.window_us,
+        first.scheduler,
+        "mean",
+        _mean([r.pdr for r in group]),
+        _mean([r.cost_us for r in group]),
+        _mean([r.candidate_evals for r in group]),
+        tuple(means[:n]),
+        tuple(means[n:]),
+        _mean([r.mean_delay_us for r in group]),
     )
 
 
@@ -235,29 +237,26 @@ def _columns(connections: int) -> list[str]:
     )
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def _row_values(row: SweepRow) -> list:
+def _row_values(row: SweepRow) -> tuple:
     return (
-        [row.window_us, row.scheduler, row.seed, row.pdr, row.cost_us,
-         row.candidate_evals]
-        + list(row.collisions)
-        + list(row.received)
-        + [row.mean_delay_us]
+        row.window_us, row.scheduler, row.seed, row.pdr, row.cost_us,
+        row.candidate_evals, *row.collisions, *row.received, row.mean_delay_us,
     )
 
 
 def render(table: SweepTable, format: str) -> str:
     """Serialize the table; CSV uses fixed 6-decimal fractions, JSON keeps
     full float precision so a round-trip reproduces the table exactly."""
+    columns = _columns(table.connections)
     if format == "csv":
-        lines = [",".join(_columns(table.connections))]
-        for row in table.rows:
-            lines.append(",".join(_cell(v) for v in _row_values(row)))
+        lines = [",".join(columns)]
+        lines += [
+            ",".join([
+                f"{v:.6f}" if isinstance(v, float) else str(v)
+                for v in _row_values(row)
+            ])
+            for row in table.rows
+        ]
         return "\n".join(lines) + "\n"
     if format == "json":
         import json
@@ -265,10 +264,7 @@ def render(table: SweepTable, format: str) -> str:
         payload = {
             "format": TABLE_FORMAT_TAG,
             "connections": table.connections,
-            "rows": [
-                dict(zip(_columns(table.connections), _row_values(row)))
-                for row in table.rows
-            ],
+            "rows": [dict(zip(columns, _row_values(row))) for row in table.rows],
         }
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")

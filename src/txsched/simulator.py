@@ -259,8 +259,23 @@ class SimReport(_Record):
     @property
     def mean_delay_us(self) -> float:
         sent = self.total_sent
+        if not sent:
+            return 0.0
         total = sum(c.delay_total_us for c in self.per_connection)
-        return total / sent if sent else 0.0
+        return _rates(sent, self.total_received, total)[1]
+
+
+def _rates(sent: int, received: int, delay_total_us: int) -> tuple[float, float]:
+    """PDR and mean per-packet delay of a run from its totals: the one
+    definition of both, behind `pdr`, `SimReport.mean_delay_us` and the
+    experiment's rows.
+
+    Raises:
+        ValueError: no packets were sent.
+    """
+    if sent == 0:
+        raise ValueError("no packets sent; PDR undefined")
+    return received / sent, delay_total_us / sent
 
 
 def pdr(report: SimReport) -> float:
@@ -269,9 +284,7 @@ def pdr(report: SimReport) -> float:
     Raises:
         ValueError: the report covers no sent packets.
     """
-    if report.total_sent == 0:
-        raise ValueError("no packets sent; PDR undefined")
-    return report.total_received / report.total_sent
+    return _rates(report.total_sent, report.total_received, 0)[0]
 
 
 def collision_summary(report: SimReport) -> list[int]:
@@ -596,17 +609,12 @@ def simulate(
     activations = _run(senders, channel, seed, trace)
     stats = tuple(
         ConnectionStats(
-            sent=s.sent,
-            received=s.received,
-            collided=s.collided,
-            ambient_lost=s.ambient_lost,
-            delivered_late=s.delivered_late,
-            delay_total_us=s.delay_total_us,
-            realized_duration_us=s.last_tx_end - s.scheduled_start,
+            s.sent, s.received, s.collided, s.ambient_lost, s.delivered_late,
+            s.delay_total_us, s.last_tx_end - s.scheduled_start,
         )
         for s in senders
     )
-    report = SimReport(per_connection=stats, backoff_activations=activations)
+    report = SimReport(stats, activations)
     if runs is not None and not any(c.delivered_late for c in stats):
         # a report that counts a late packet is never returned, so only
         # late-free ones are kept

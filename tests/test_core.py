@@ -359,6 +359,24 @@ class TestRecordSemantics:
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+# the records whose constructor _Record writes from __slots__; exec gives
+# its code the file name "<string>"
+GENERATED = [r for r in RECORDS if r[0].__init__.__code__.co_filename == "<string>"]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, change", GENERATED, ids=[r[0].__name__ for r in GENERATED]
+)
+def test_generated_constructor_stores_each_argument(cls, fields, change):
+    positional = cls(*(fields[name] for name in cls.__slots__))
+    keyword = cls(**fields)
+    assert positional == keyword
+    assert hash(positional) == hash(keyword)
+    for record in (positional, keyword):
+        for name, value in fields.items():
+            assert getattr(record, name) is value, name
+
+
 # the defaults of every constructor, by class; a field not named here is
 # required
 DEFAULTS = {

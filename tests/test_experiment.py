@@ -16,9 +16,11 @@ from txsched import (
     SweepTable,
     TransmissionRequest,
     WindowSweep,
+    collision_summary,
     emit,
     format_summary,
     parse_scenario,
+    pdr,
     read_table,
     render,
     report_comparison,
@@ -414,3 +416,100 @@ def test_table2_simulates_each_distinct_run_once_per_call(monkeypatch):
         run_experiment(spec)
         # one simulate call per row, 157 distinct runs among the 400
         assert (len(calls), len(runs)) == (400, 157)
+
+
+# -- rows and rendering against naive references -----------------------
+
+
+def _requests_at(spec, window_us):
+    if window_us == experiment.NATIVE_WINDOW:
+        return spec.requests
+    return rescale_requests(spec.requests, window_us, spec.scheduler_config)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sweep_specs())
+def test_rows_equal_a_naive_reference(spec):
+    table = run_experiment(spec)
+    groups = {}
+    for row in table.seed_rows():
+        requests = _requests_at(spec, row.window_us)
+        result = run_scheduler(
+            row.scheduler, requests, spec.scheduler_config, row.seed
+        )
+        report = simulate(list(requests), result.schedule, spec.channel, row.seed)
+        assert row.pdr.hex() == pdr(report).hex()
+        assert row.collisions == tuple(collision_summary(report))
+        assert row.received == tuple(c.received for c in report.per_connection)
+        assert row.mean_delay_us.hex() == report.mean_delay_us.hex()
+        assert (row.cost_us, row.candidate_evals) == (
+            result.cost, result.candidate_evaluations
+        )
+        groups.setdefault((row.window_us, row.scheduler), []).append(row)
+    aggregates = [r for r in table.rows if r.is_aggregate]
+    assert len(aggregates) == len(groups)
+    for agg in aggregates:
+        group = groups[agg.window_us, agg.scheduler]
+        for name in ("pdr", "cost_us", "candidate_evals", "mean_delay_us"):
+            expected = statistics.fmean(getattr(r, name) for r in group)
+            assert getattr(agg, name).hex() == expected.hex(), name
+        for name in ("collisions", "received"):
+            for i, value in enumerate(getattr(agg, name)):
+                expected = statistics.fmean(getattr(r, name)[i] for r in group)
+                assert value.hex() == expected.hex(), (name, i)
+
+
+def reference_csv(table):
+    """The CSV by the per-cell rule: a float, subclasses included, with
+    six decimals, anything else through str."""
+
+    def cell(value):
+        if isinstance(value, float):
+            return f"{value:.6f}"
+        return str(value)
+
+    n = table.connections
+    lines = [",".join(
+        ["window_us", "scheduler", "seed", "pdr", "cost_us", "candidate_evals"]
+        + [f"collisions_c{i}" for i in range(n)]
+        + [f"received_c{i}" for i in range(n)]
+        + ["mean_delay_us"]
+    )]
+    for row in table.rows:
+        values = (
+            [row.window_us, row.scheduler, row.seed, row.pdr, row.cost_us,
+             row.candidate_evals]
+            + list(row.collisions)
+            + list(row.received)
+            + [row.mean_delay_us]
+        )
+        lines.append(",".join(cell(v) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sweep_specs())
+def test_csv_equals_the_per_cell_rule(spec):
+    table = run_experiment(spec)
+    assert render(table, "csv") == reference_csv(table)
+
+
+class _Ratio(float):
+    """A float subclass, as a caller's own table may hold."""
+
+
+def test_csv_of_a_hand_made_table():
+    rows = (
+        SweepRow(-1, "tsgs", 7, _Ratio(0.5), 2, 3, (1, 0), (2, 2), 1.25),
+        SweepRow(
+            -1, "tsgs", "mean", 0.5, 2.0, 3.0, (1.0, 0.0), (2.0, 2.0), _Ratio(1 / 3)
+        ),
+    )
+    table = SweepTable(connections=2, rows=rows)
+    text = render(table, "csv")
+    assert text == reference_csv(table)
+    assert text.splitlines()[1:] == [
+        "-1,tsgs,7,0.500000,2,3,1,0,2,2,1.250000",
+        "-1,tsgs,mean,0.500000,2.000000,3.000000,1.000000,0.000000,"
+        "2.000000,2.000000,0.333333",
+    ]
