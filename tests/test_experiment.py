@@ -1,5 +1,6 @@
 import importlib.util
 import statistics
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,75 @@ def test_mean_is_fmean_bit_for_bit(values):
     assert _mean(iter(values)).hex() == statistics.fmean(values).hex()
 
 
+def _hexes(row):
+    """Every value of a row, floats as their exact hex strings."""
+    values = (
+        row.window_us, row.scheduler, row.seed, row.pdr, row.cost_us,
+        row.candidate_evals, *row.collisions, "|", *row.received,
+        row.mean_delay_us,
+    )
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def _fmean_aggregate(group):
+    """The aggregate row, every column through statistics.fmean."""
+    first = group[0]
+
+    def per_connection(name):
+        return tuple(
+            statistics.fmean(column)
+            for column in zip(*(getattr(r, name) for r in group))
+        )
+
+    return SweepRow(
+        first.window_us,
+        first.scheduler,
+        "mean",
+        statistics.fmean(r.pdr for r in group),
+        statistics.fmean(r.cost_us for r in group),
+        statistics.fmean(r.candidate_evals for r in group),
+        per_connection("collisions"),
+        per_connection("received"),
+        statistics.fmean(r.mean_delay_us for r in group),
+    )
+
+
+def test_aggregate_of_ten_tenths_is_a_tenth():
+    # ten 0.1s sum to 0.9999999999999999 in plain floats, so a plain
+    # sum / len gives 0.09999999999999999; fsum gives 0.1
+    group = [
+        SweepRow(500, "random", seed, 0.1, 3, 0, (1, 0), (49, 50), 0.1)
+        for seed in range(10)
+    ]
+    aggregate = experiment._aggregate(group)
+    assert _hexes(aggregate) == _hexes(_fmean_aggregate(group))
+    assert (aggregate.pdr, aggregate.mean_delay_us) == (0.1, 0.1)
+
+
+@st.composite
+def aggregate_groups(draw):
+    """Seed rows of one (window, scheduler) group, every measured value a
+    MIXED int or float."""
+    n = draw(st.integers(0, 3))
+    window_us = draw(st.integers(-1, 10**6))
+
+    def values(count):
+        return tuple(draw(MIXED) for _ in range(count))
+
+    return [
+        SweepRow(window_us, "tsgs", seed, *values(3), values(n), values(n),
+                 draw(MIXED))
+        for seed in range(draw(st.integers(1, 12)))
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(aggregate_groups())
+def test_aggregate_is_fmean_bit_for_bit(group):
+    aggregate = experiment._aggregate(group)
+    assert _hexes(aggregate) == _hexes(_fmean_aggregate(group))
+
+
 # -- one simulation per distinct run -------------------------------------
 
 
@@ -485,6 +555,20 @@ def reference_csv(table):
         )
         lines.append(",".join(cell(v) for v in values))
     return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(sweep_specs())
+def test_json_round_trip_of_generated_tables(spec):
+    table = run_experiment(spec)
+    text = render(table, "json")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        path.write_text(text, encoding="utf-8")
+        read_back = read_table(path)
+    assert read_back == table
+    # records compare 1 == 1.0; the bytes tell an int read back as a float
+    assert render(read_back, "json") == text
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

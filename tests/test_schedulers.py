@@ -305,6 +305,25 @@ class TestAllStrategies:
                 assert feasible(result.schedule, requests, config.margin)
                 assert result.cost == total_cost(result.schedule, requests)
 
+    @pytest.mark.parametrize("n", (0, 1, 3))
+    @pytest.mark.parametrize("name", ("tsgs", "exhaustive", "random"))
+    def test_cost_looked_up_through_the_module(self, monkeypatch, name, n):
+        # a tracer swaps schedulers.total_cost at run time; a scheduler that
+        # bound it at import would bypass the swap and count nothing
+        calls = []
+
+        def counting(schedule, requests):
+            calls.append(schedule)
+            return total_cost(schedule, requests)
+
+        monkeypatch.setattr(schedulers, "total_cost", counting)
+        requests = [req(400, 50, id=i, packets=2) for i in range(n)]
+        config = SchedulerConfig(step=50)
+        args = (requests, config, 11) if name == "random" else (requests, config)
+        result = getattr(schedulers, f"{name}_schedule")(*args)
+        assert calls == [result.schedule]
+        assert result.cost == total_cost(result.schedule, requests)
+
     def test_oracle_dominance(self):
         rng = random.Random(404)
         for _ in range(200):
