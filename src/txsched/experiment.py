@@ -154,6 +154,7 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
     points = spec.sweep.points() if spec.sweep is not None else [NATIVE_WINDOW]
     seeds = sorted(spec.seeds)
     check_run_size(spec)
+    connections = len(spec.requests)
     rows: list[SweepRow] = []
     memo: dict = {}  # simulate's, for this call only
     for window_us in points:
@@ -195,8 +196,8 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
                     )
                 )
             rows.extend(group)
-            rows.append(_aggregate(group))
-    return SweepTable(connections=len(spec.requests), rows=tuple(rows))
+            rows.append(_aggregate(group, connections))
+    return SweepTable(connections=connections, rows=tuple(rows))
 
 
 def _mean(values) -> float:
@@ -206,22 +207,10 @@ def _mean(values) -> float:
     return math.fsum(data) / len(data)
 
 
-def _aggregate(group: list[SweepRow]) -> SweepRow:
-    first = group[0]
-    n = len(first.collisions)
-    means = [
-        _mean(column) for column in zip(*[r.collisions + r.received for r in group])
-    ]
-    return SweepRow(
-        first.window_us,
-        first.scheduler,
-        "mean",
-        _mean([r.pdr for r in group]),
-        _mean([r.cost_us for r in group]),
-        _mean([r.candidate_evals for r in group]),
-        tuple(means[:n]),
-        tuple(means[n:]),
-        _mean([r.mean_delay_us for r in group]),
+def _aggregate(group: list[SweepRow], connections: int) -> SweepRow:
+    window_us, scheduler, _, *columns = zip(*map(_row_values, group))
+    return _row(
+        window_us[0], scheduler[0], "mean", [_mean(c) for c in columns], connections
     )
 
 
@@ -241,6 +230,15 @@ def _row_values(row: SweepRow) -> tuple:
     return (
         row.window_us, row.scheduler, row.seed, row.pdr, row.cost_us,
         row.candidate_evals, *row.collisions, *row.received, row.mean_delay_us,
+    )
+
+
+def _row(window_us, scheduler, seed, values, connections: int) -> SweepRow:
+    """The inverse of ``_row_values``: ``values`` are the columns after seed."""
+    pdr, cost_us, candidate_evals, *counts, mean_delay_us = values
+    return SweepRow(
+        window_us, scheduler, seed, pdr, cost_us, candidate_evals,
+        tuple(counts[:connections]), tuple(counts[connections:]), mean_delay_us,
     )
 
 
@@ -285,21 +283,11 @@ def read_table(path: str | Path) -> SweepTable:
             f"unsupported table format {payload.get('format')!r}"
         )
     n = payload["connections"]
+    columns = _columns(n)
     rows = []
     for record in payload["rows"]:
-        rows.append(
-            SweepRow(
-                window_us=record["window_us"],
-                scheduler=record["scheduler"],
-                seed=record["seed"],
-                pdr=record["pdr"],
-                cost_us=record["cost_us"],
-                candidate_evals=record["candidate_evals"],
-                collisions=tuple(record[f"collisions_c{i}"] for i in range(n)),
-                received=tuple(record[f"received_c{i}"] for i in range(n)),
-                mean_delay_us=record["mean_delay_us"],
-            )
-        )
+        window_us, scheduler, seed, *values = [record[c] for c in columns]
+        rows.append(_row(window_us, scheduler, seed, values, n))
     return SweepTable(connections=n, rows=tuple(rows))
 
 

@@ -121,6 +121,15 @@ class ScheduleResult(_Record):
     candidate_evaluations: int
 
 
+def _result(
+    starts: list[TimePoint], requests: list[TransmissionRequest], evaluations: int
+) -> ScheduleResult:
+    # total_cost is looked up in this module's globals at each call, so a
+    # caller that swaps schedulers.total_cost sees every scheduler's call
+    schedule = Schedule(tuple(starts))
+    return ScheduleResult(schedule, total_cost(schedule, requests), evaluations)
+
+
 def candidate_grid(request: TransmissionRequest, config: SchedulerConfig) -> range:
     """Admissible starts 0, step, ..., up to the window; raises if even
     start 0 misses the deadline."""
@@ -222,12 +231,7 @@ def tsgs_schedule(
         evaluations += len(grid) * len(placed)
         starts[idx] = start
         placed.append((start, start + duration))
-    schedule = Schedule(tuple(starts))
-    return ScheduleResult(
-        schedule=schedule,
-        cost=total_cost(schedule, requests),
-        candidate_evaluations=evaluations,
-    )
+    return _result(starts, requests, evaluations)
 
 
 def _trapezoid(
@@ -352,12 +356,7 @@ def exhaustive_schedule(
             pending.pop()
         else:
             break
-    schedule = Schedule(tuple(best_starts))
-    return ScheduleResult(
-        schedule=schedule,
-        cost=total_cost(schedule, requests),
-        candidate_evaluations=size,
-    )
+    return _result(best_starts, requests, size)
 
 
 def random_schedule(
@@ -372,9 +371,4 @@ def random_schedule(
     for req in requests:
         grid = candidate_grid(req, config)
         starts.append(grid[rng.randrange(len(grid))])
-    schedule = Schedule(tuple(starts))
-    return ScheduleResult(
-        schedule=schedule,
-        cost=total_cost(schedule, requests),
-        candidate_evaluations=0,
-    )
+    return _result(starts, requests, 0)
