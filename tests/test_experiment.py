@@ -364,7 +364,7 @@ def test_aggregate_of_ten_tenths_is_a_tenth():
         SweepRow(500, "random", seed, 0.1, 3, 0, (1, 0), (49, 50), 0.1)
         for seed in range(10)
     ]
-    aggregate = experiment._aggregate(group, len(group[0].collisions))
+    aggregate = experiment._aggregate(group, 2)
     assert _hexes(aggregate) == _hexes(_fmean_aggregate(group))
     assert (aggregate.pdr, aggregate.mean_delay_us) == (0.1, 0.1)
 
