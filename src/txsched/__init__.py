@@ -52,7 +52,6 @@ from .simulator import (
     ChannelConfig,
     ConnectionStats,
     SimReport,
-    collision_summary,
     pdr,
     simulate,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "TransmissionRequest",
     "WindowSweep",
     "candidate_grid",
-    "collision_summary",
     "compute_duration",
     "emit",
     "exhaustive_schedule",

@@ -142,9 +142,11 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
     (they are seed-invariant); the random baseline re-draws per seed. The
     channel simulation always varies with the seed. Every row calls
     `simulate`, sharing one memo for this call only: once a window is
-    longer than the trains, tsgs's placement stops changing, and a row
-    whose run (trains, starts, channel, seed) an earlier row made gets
-    that row's report whenever its deadlines leave the report unchanged.
+    longer than the trains, tsgs's placement stops changing, and trains
+    placed apart make the same run wherever they sit. A row whose run
+    (trains, channel, seed, and the starts up to the idle gaps a shift
+    cannot change; see `simulate`) an earlier row made gets that row's
+    report whenever its deadlines leave the report unchanged.
     Deterministic: the same spec yields an identical table.
 
     Raises:

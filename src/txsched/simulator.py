@@ -113,6 +113,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from operator import attrgetter
 
 from .core import (
     Schedule, TimePoint, TimeSpan, TransmissionRequest, _check_counts, _check_int,
@@ -285,11 +286,6 @@ def pdr(report: SimReport) -> float:
         ValueError: the report covers no sent packets.
     """
     return _rates(report.total_sent, report.total_received, 0)[0]
-
-
-def collision_summary(report: SimReport) -> list[int]:
-    """Collided-packet count of each connection, in request order."""
-    return [c.collided for c in report.per_connection]
 
 
 def _run(
@@ -551,6 +547,40 @@ def _run(
     return activations
 
 
+_train = attrgetter("packet_count", "packet_airtime")
+
+
+def _closed_starts(
+    starts: tuple[TimePoint, ...], trains: tuple[tuple[int, int], ...], aifs: TimeSpan
+) -> tuple[TimePoint, ...]:
+    """The starts as `simulate`'s memo files them, with every idle gap
+    closed that a shift cannot change (see `simulate`). A packed schedule,
+    whose second train in start order overlaps the first, costs one sort
+    and one subtraction pass; the walk goes on only past closed gaps."""
+    if len(starts) < 2:
+        return (0,) * len(starts)
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    shift = starts[order[0]]
+    closed = [start - shift for start in starts]
+    count, airtime = trains[order[0]]
+    end = count * (aifs + airtime)  # where every train walked so far ends
+    if closed[order[1]] < end:
+        return tuple(closed)
+    gap = 0  # the idle gaps closed after the first train
+    for k in range(1, len(order)):
+        i = order[k]
+        start = closed[i] - gap
+        if start < end:
+            for i in order[k:]:
+                closed[i] -= gap
+            break
+        gap += start - end
+        closed[i] = end
+        count, airtime = trains[i]
+        end += count * (aifs + airtime)
+    return tuple(closed)
+
+
 def simulate(
     requests: list[TransmissionRequest],
     schedule: Schedule,
@@ -575,11 +605,24 @@ def simulate(
     sender's position in ``requests``.
 
     ``memo``, when given a dict, lets repeated untraced calls share one
-    run. A run reads each request's packet count and airtime, the starts,
-    the channel and the seed; deadlines only decide which received packets
-    count as late. The memo keeps the reports that count no late packet,
-    and returns a kept report of the same run when every new deadline
-    falls at or after its connection's last packet end, since the fresh
+    run. A run reads each request's packet count and airtime, the channel,
+    the seed, and the starts up to the idle gaps that a shift cannot
+    change; deadlines only decide which received packets count as late.
+    The memo files a run by its starts with those gaps closed: in start
+    order, ties by position, the first train moves to 0, and while every
+    earlier train has run alone, a train that starts at or after the end
+    of every earlier one moves back to that end, a train alone ending
+    packet_count * (aifs + airtime) after its start. Such a train finds
+    the channel idle with no sender deferred, waiting out an AIFS or
+    committed; an ending at its start resolves before its sense, and the
+    channel's slot clock is read only while a sender is deferred. So the
+    events and the random draws come in the same order, shifted, and every
+    report field is measured from the connection's own start. After the
+    first overlap a train's end is known only once the run is made, so
+    every later train keeps the shift reached there. The memo keeps the
+    reports that count no late packet, and returns a kept report of the
+    same run when every new deadline falls at or after its connection's
+    last packet end, counted from the call's own start, since the fresh
     run would then count none late either. So the result equals a fresh
     run's field for field. A traced call neither reads nor writes the
     memo, and the checks run before the lookup.
@@ -596,10 +639,11 @@ def simulate(
     runs = None
     if memo is not None and trace is None:
         # the trains and channel are shared by every call of an experiment,
-        # so the reports are filed by them once, then by starts and seed
-        trains = tuple((req.packet_count, req.packet_airtime) for req in requests)
+        # so the reports are filed by them once, then by closed starts and seed
+        trains = tuple(map(_train, requests))
         runs = memo.setdefault((trains, channel), {})
-        stored = runs.get((schedule.starts, seed))
+        key = (_closed_starts(schedule.starts, trains, channel.aifs), seed)
+        stored = runs.get(key)
         if stored is not None and all(
             req.deadline >= start + c.realized_duration_us
             for req, start, c in zip(requests, schedule.starts, stored.per_connection)
@@ -618,5 +662,5 @@ def simulate(
     if runs is not None and not any(c.delivered_late for c in stats):
         # a report that counts a late packet is never returned, so only
         # late-free ones are kept
-        runs[(schedule.starts, seed)] = report
+        runs[key] = report
     return report

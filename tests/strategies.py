@@ -58,3 +58,52 @@ def channel_runs(
         slot_time=slot, aifs=aifs, cw=cw, ambient_loss_rate=loss
     )
     return requests, Schedule(starts), channel, draw(st.integers(0, 2**16))
+
+
+@st.composite
+def spaced_runs(draw, overlap=True):
+    """Two to five trains laid out one after another in a shuffled position
+    order: each starts at the planned end of the one before it (start +
+    packets * (airtime + overhead)), some way after it or, with
+    ``overlap``, some way before it, down to the same start. Without
+    ``overlap`` every overhead is at least the AIFS, often equal to it, so
+    the schedule has zero total cost and trains often start exactly where
+    another ends on air. With it, overheads also fall below the AIFS, so a
+    train's planned end can come before its end on air. Each deadline lies
+    between its start and a little past its uncontended end."""
+    slot = draw(st.integers(1, 4))
+    aifs = draw(st.sampled_from((0, slot, 2 * slot, draw(st.integers(0, 9)))))
+    cw = draw(st.integers(1, 6))
+    loss = draw(st.sampled_from((0.0, 0.3)))
+    n = draw(st.integers(2, 5))
+    shapes = []
+    for _ in range(n):
+        packets = draw(st.integers(1, 4))
+        airtime = draw(st.integers(1, 4 * slot))
+        if overlap:
+            overhead = draw(st.sampled_from((aifs, 0, aifs // 2, aifs + 1)))
+        else:
+            overhead = aifs + draw(st.integers(0, 2))
+        shapes.append((packets, airtime, overhead))
+    starts = [0] * n
+    at = draw(st.integers(0, 200))  # the planned end of the last train laid
+    planned = 0  # that train's planned duration
+    for i in draw(st.permutations(range(n))):
+        gap = draw(st.one_of(st.just(0), st.integers(1, 30)))
+        if overlap and draw(st.booleans()):
+            gap = -draw(st.integers(1, max(1, planned)))
+        starts[i] = max(0, at + gap)
+        packets, airtime, overhead = shapes[i]
+        planned = packets * (airtime + overhead)
+        at = starts[i] + planned
+    requests = [
+        TransmissionRequest(
+            i, start + draw(st.integers(0, packets * (aifs + airtime) + 20)),
+            packets, airtime, overhead,
+        )
+        for i, (start, (packets, airtime, overhead)) in enumerate(zip(starts, shapes))
+    ]
+    channel = ChannelConfig(
+        slot_time=slot, aifs=aifs, cw=cw, ambient_loss_rate=loss
+    )
+    return requests, Schedule(tuple(starts)), channel, draw(st.integers(0, 2**16))

@@ -17,7 +17,6 @@ from txsched import (
     SweepTable,
     TransmissionRequest,
     WindowSweep,
-    collision_summary,
     emit,
     format_summary,
     parse_scenario,
@@ -484,8 +483,10 @@ def test_table2_simulates_each_distinct_run_once_per_call(monkeypatch):
         calls.clear()
         runs.clear()
         run_experiment(spec)
-        # one simulate call per row, 157 distinct runs among the 400
-        assert (len(calls), len(runs)) == (400, 157)
+        # one simulate call per row, 83 distinct runs among the 400: a
+        # run is its starts up to the idle gaps that a shift cannot change,
+        # so rows whose trains sit apart share one run wherever they start
+        assert (len(calls), len(runs)) == (400, 83)
 
 
 # -- rows and rendering against naive references -----------------------
@@ -509,7 +510,7 @@ def test_rows_equal_a_naive_reference(spec):
         )
         report = simulate(list(requests), result.schedule, spec.channel, row.seed)
         assert row.pdr.hex() == pdr(report).hex()
-        assert row.collisions == tuple(collision_summary(report))
+        assert row.collisions == tuple(c.collided for c in report.per_connection)
         assert row.received == tuple(c.received for c in report.per_connection)
         assert row.mean_delay_us.hex() == report.mean_delay_us.hex()
         assert (row.cost_us, row.candidate_evals) == (

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import channel_runs
+from strategies import channel_runs, spaced_runs
 
 from txsched import (
     ChannelConfig,
@@ -14,10 +14,10 @@ from txsched import (
     Schedule,
     SimReport,
     TransmissionRequest,
-    collision_summary,
     pdr,
     simulate,
     simulator,
+    total_cost,
 )
 
 
@@ -68,26 +68,26 @@ class TestForcedTies:
     def test_two_way_simultaneous_commit(self):
         reqs = train(2, packets=1)
         report = simulate(reqs, Schedule((0, 0)), ChannelConfig(cw=1), seed=5)
-        assert collision_summary(report) == [1, 1]
+        assert [c.collided for c in report.per_connection] == [1, 1]
         assert pdr(report) == 0.0
         assert report.backoff_activations == 0
 
     def test_three_way_simultaneous_commit(self):
         reqs = train(3, packets=1)
         report = simulate(reqs, Schedule((0, 0, 0)), ChannelConfig(), seed=5)
-        assert collision_summary(report) == [1, 1, 1]
+        assert [c.collided for c in report.per_connection] == [1, 1, 1]
         assert pdr(report) == 0.0
 
     def test_aligned_full_trains_all_collide(self):
         report = simulate(train(2), Schedule((0, 0)), ChannelConfig(), seed=3)
-        assert collision_summary(report) == [50, 50]
+        assert [c.collided for c in report.per_connection] == [50, 50]
         assert pdr(report) == 0.0
 
 
 class TestDisjointSchedules:
     def test_gap_after_full_train_is_clean(self):
         report = simulate(train(2), Schedule((0, 4131)), ChannelConfig(), seed=9)
-        assert collision_summary(report) == [0, 0]
+        assert [c.collided for c in report.per_connection] == [0, 0]
         assert pdr(report) == 1.0
         assert report.backoff_activations == 0
 
@@ -262,6 +262,47 @@ class TestProperties:
         assert first == second
 
 
+def closed_starts(requests, schedule, channel):
+    """The starts that `simulate`'s memo files `schedule` under, with the
+    idle gaps closed that a shift cannot change, read from the memo."""
+    memo = {}
+    roomy = [r.replace(deadline=10**9) for r in requests]
+    simulate(roomy, schedule, channel, 0, memo=memo)
+    [runs] = memo.values()
+    [(starts, _seed)] = runs
+    return Schedule(starts)
+
+
+class TestSpacedTrains:
+    @PROPERTY
+    @given(spaced_runs(overlap=False))
+    def test_zero_cost_schedule_never_contends(self, run):
+        # with every overhead at least the AIFS, disjoint planned spans
+        # hold disjoint trains on air, even where one starts just as
+        # another ends; a trace takes every packet on the queued route
+        requests, schedule, channel, seed = run
+        assert total_cost(schedule, requests) == 0
+        for trace in (None, []):
+            report = simulate(requests, schedule, channel, seed, trace)
+            assert report.total_collided == 0
+            assert report.backoff_activations == 0
+
+    @PROPERTY
+    @given(spaced_runs())
+    def test_closing_idle_gaps_changes_no_field(self, run):
+        requests, schedule, channel, seed = run
+        closed = closed_starts(requests, schedule, channel)
+        assert closed_starts(requests, closed, channel) == closed
+        # each deadline moves with its start, so the same packets are late
+        moved = [
+            r.replace(deadline=r.deadline - (start - at))
+            for r, start, at in zip(requests, schedule.starts, closed.starts)
+        ]
+        assert simulate(requests, schedule, channel, seed) == simulate(
+            moved, closed, channel, seed
+        )
+
+
 @pytest.fixture
 def heap_pops(monkeypatch):
     """One entry per event the simulator pops. More than 10,000 pops
@@ -369,7 +410,7 @@ class TestAmbientLoss:
             assert c.sent == c.received + c.collided + c.ambient_lost
         # collided packets never roll an ambient loss: the 33-pair overlap
         # stays exact even with lossy air
-        assert collision_summary(report) == [33, 33]
+        assert [c.collided for c in report.per_connection] == [33, 33]
 
 
 class TestAnalyticMAC:
@@ -490,6 +531,39 @@ class TestMemo:
             again, schedule, channel, seed
         )
 
+    @PROPERTY
+    @given(spaced_runs(), st.data())
+    def test_shifted_or_regapped_schedule_equals_a_fresh_run(self, run, data):
+        requests, schedule, channel, seed = run
+        memo = {}
+        roomy = [r.replace(deadline=10**9) for r in requests]
+        stored = simulate(roomy, schedule, channel, seed, memo=memo)
+        # move every train from the k-th in start order on by delta: all
+        # of them when k is 0, otherwise one gap widens or narrows
+        starts = schedule.starts
+        order = sorted(range(len(starts)), key=starts.__getitem__)
+        k = data.draw(st.integers(0, len(order) - 1))
+        room = starts[order[k]] - (starts[order[k - 1]] if k else 0)
+        delta = data.draw(st.integers(-room, 60))
+        moved = set(order[k:])
+        later = Schedule(tuple(
+            start + delta if i in moved else start for i, start in enumerate(starts)
+        ))
+        ends = last_ends(requests, later, channel, seed)
+        again = [
+            r.replace(deadline=d)
+            for r, d in zip(requests, data.draw(deadlines_around(ends)))
+        ]
+        result = simulate(again, later, channel, seed, memo=memo)
+        assert result == simulate(again, later, channel, seed)
+        # the stored report answers, with no new run, exactly when the key
+        # matches and no deadline falls before its connection's last end
+        same_run = closed_starts(requests, later, channel) == closed_starts(
+            requests, schedule, channel
+        )
+        safe = all(r.deadline >= end for r, end in zip(again, ends))
+        assert (result is stored) == (same_run and safe)
+
     @pytest.fixture
     def runs(self, monkeypatch):
         """One entry per run the simulator actually makes."""
@@ -574,7 +648,7 @@ class TestReportOps:
         with pytest.raises(ValueError):
             pdr(report)
 
-    def test_collision_summary_order(self):
+    def test_collided_counts_in_request_order(self):
         report = SimReport(
             per_connection=(
                 stats(5, received=4, collided=1),
@@ -582,7 +656,7 @@ class TestReportOps:
             ),
             backoff_activations=0,
         )
-        assert collision_summary(report) == [1, 3]
+        assert [c.collided for c in report.per_connection] == [1, 3]
 
     def test_totals_sum_connections(self):
         report = SimReport(
