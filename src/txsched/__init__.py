@@ -23,7 +23,6 @@ from .experiment import (
     SchedulerSummary,
     SweepRow,
     SweepTable,
-    emit,
     format_summary,
     read_table,
     render,
@@ -43,7 +42,6 @@ from .schedulers import (
     InstanceTooLargeError,
     ScheduleResult,
     SchedulerConfig,
-    candidate_grid,
     exhaustive_schedule,
     random_schedule,
     tsgs_schedule,
@@ -52,7 +50,6 @@ from .simulator import (
     ChannelConfig,
     ConnectionStats,
     SimReport,
-    pdr,
     simulate,
 )
 
@@ -78,15 +75,12 @@ __all__ = [
     "TimeSpan",
     "TransmissionRequest",
     "WindowSweep",
-    "candidate_grid",
     "compute_duration",
-    "emit",
     "exhaustive_schedule",
     "feasible",
     "format_summary",
     "load_scenario",
     "parse_scenario",
-    "pdr",
     "random_schedule",
     "read_table",
     "render",

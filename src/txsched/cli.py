@@ -24,7 +24,6 @@ from pathlib import Path
 from .experiment import (
     _require_comparison,
     check_run_size,
-    emit,
     format_summary,
     render,
     report_comparison,
@@ -139,7 +138,7 @@ def _cmd_run(args, spec: ScenarioSpec) -> int:
         _require_comparison(spec.schedulers)
     table = run_experiment(spec)
     if args.out:
-        emit(table, args.format, args.out)
+        Path(args.out).write_text(render(table, args.format), encoding="utf-8")
         summary_to = sys.stdout
     else:
         sys.stdout.write(render(table, args.format))

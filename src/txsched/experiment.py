@@ -22,11 +22,13 @@ from .scenario import ScenarioError, ScenarioSpec
 from .schedulers import (
     ScheduleResult,
     SchedulerConfig,
+    _assignments,
+    candidate_grid,
     exhaustive_schedule,
     random_schedule,
     tsgs_schedule,
 )
-from .simulator import _rates, simulate
+from .simulator import simulate
 
 NATIVE_WINDOW = -1
 
@@ -63,10 +65,6 @@ class SweepRow(_Record):
     received: tuple[int | float, ...]
     mean_delay_us: float
 
-    @property
-    def is_aggregate(self) -> bool:
-        return self.seed == "mean"
-
 
 class SweepTable(_Record):
     """All rows of one experiment, plus the connection count for layout."""
@@ -76,7 +74,7 @@ class SweepTable(_Record):
     rows: tuple[SweepRow, ...]
 
     def seed_rows(self) -> tuple[SweepRow, ...]:
-        return tuple(r for r in self.rows if not r.is_aggregate)
+        return tuple(r for r in self.rows if r.seed != "mean")
 
 
 def rescale_requests(
@@ -121,9 +119,12 @@ def check_run_size(spec: ScenarioSpec) -> tuple[int, int]:
     arithmetic however long the sweep.
 
     Raises:
-        ScenarioError: the rows exceed ``MAX_ROWS`` or the packets
-            ``MAX_PACKETS``; the message names both counts.
+        ScenarioError: no connections, or the rows exceed ``MAX_ROWS`` or
+            the packets ``MAX_PACKETS``; the message names both counts.
+        InstanceTooLargeError: exhaustive's cap refuses the widest window.
     """
+    if not spec.requests:
+        raise ScenarioError("scenario defines no connections")
     groups = (1 if spec.sweep is None else spec.sweep.count()) * len(spec.schedulers)
     rows = groups * (len(spec.seeds) + 1)
     packets = groups * len(spec.seeds) * sum(req.packet_count for req in spec.requests)
@@ -132,6 +133,12 @@ def check_run_size(spec: ScenarioSpec) -> tuple[int, int]:
             f"run too large: {rows} rows and {packets} simulated packets "
             f"exceed the caps of {MAX_ROWS} rows and {MAX_PACKETS} packets"
         )
+    if "exhaustive" in spec.schedulers:
+        # every grid grows with the window, so the widest has the most
+        requests = spec.requests if spec.sweep is None else rescale_requests(
+            spec.requests, spec.sweep.points()[-1], spec.scheduler_config
+        )
+        _assignments([candidate_grid(r, spec.scheduler_config) for r in requests])
     return rows, packets
 
 
@@ -189,12 +196,11 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
                     collided.append(c.collided)
                     sent += c.sent
                     delay += c.delay_total_us
-                ratio, mean_delay = _rates(sent, sum(received), delay)
                 group.append(
                     SweepRow(
-                        window_us, name, seed, ratio, result.cost,
+                        window_us, name, seed, sum(received) / sent, result.cost,
                         result.candidate_evaluations, tuple(collided),
-                        tuple(received), mean_delay,
+                        tuple(received), delay / sent,
                     )
                 )
             rows.extend(group)
@@ -268,11 +274,6 @@ def render(table: SweepTable, format: str) -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown format {format!r}; expected 'csv' or 'json'")
-
-
-def emit(table: SweepTable, format: str, path: str | Path) -> None:
-    """Write the table to `path`; identical tables yield identical bytes."""
-    Path(path).write_text(render(table, format), encoding="utf-8")
 
 
 def read_table(path: str | Path) -> SweepTable:

@@ -259,6 +259,17 @@ def _first_least(base: list, row: list) -> tuple[int, TimeSpan]:
     return scores.index(least), least
 
 
+def _assignments(grids: list[range]) -> int:
+    """The product of the grid sizes; raises above ``ENUMERATION_CAP``."""
+    # by arithmetic: len() of a range overflows past sys.maxsize
+    size = math.prod(grid[-1] // grid.step + 1 for grid in grids)
+    if size > ENUMERATION_CAP:
+        raise InstanceTooLargeError(
+            f"{size} grid assignments exceed the enumeration cap of {ENUMERATION_CAP}"
+        )
+    return size
+
+
 def exhaustive_schedule(
     requests: list[TransmissionRequest], config: SchedulerConfig
 ) -> ScheduleResult:
@@ -288,14 +299,7 @@ def exhaustive_schedule(
             ``ENUMERATION_CAP``.
     """
     grids = [candidate_grid(req, config) for req in requests]
-    size = 1
-    for grid in grids:
-        size *= len(grid)
-    if size > ENUMERATION_CAP:
-        raise InstanceTooLargeError(
-            f"{size} grid assignments exceed the enumeration cap of "
-            f"{ENUMERATION_CAP}"
-        )
+    size = _assignments(grids)
     durations = [compute_duration(req) for req in requests]
     pen = len(requests) - 2
     last = pen + 1

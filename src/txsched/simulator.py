@@ -229,10 +229,6 @@ class ConnectionStats(_Record):
     delay_total_us: int
     realized_duration_us: TimeSpan
 
-    @property
-    def mean_delay_us(self) -> float:
-        return self.delay_total_us / self.sent if self.sent else 0.0
-
 
 class SimReport(_Record):
     """Outcome of one simulation run; ``per_connection`` is in request order."""
@@ -256,36 +252,6 @@ class SimReport(_Record):
     @property
     def total_ambient_lost(self) -> int:
         return sum(c.ambient_lost for c in self.per_connection)
-
-    @property
-    def mean_delay_us(self) -> float:
-        sent = self.total_sent
-        if not sent:
-            return 0.0
-        total = sum(c.delay_total_us for c in self.per_connection)
-        return _rates(sent, self.total_received, total)[1]
-
-
-def _rates(sent: int, received: int, delay_total_us: int) -> tuple[float, float]:
-    """PDR and mean per-packet delay of a run from its totals: the one
-    definition of both, behind `pdr`, `SimReport.mean_delay_us` and the
-    experiment's rows.
-
-    Raises:
-        ValueError: no packets were sent.
-    """
-    if sent == 0:
-        raise ValueError("no packets sent; PDR undefined")
-    return received / sent, delay_total_us / sent
-
-
-def pdr(report: SimReport) -> float:
-    """Packet delivery ratio: total received / total sent.
-
-    Raises:
-        ValueError: the report covers no sent packets.
-    """
-    return _rates(report.total_sent, report.total_received, 0)[0]
 
 
 def _run(

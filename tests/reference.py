@@ -21,9 +21,9 @@ from txsched import (
     Schedule,
     ScheduleResult,
     SimReport,
-    candidate_grid,
     compute_duration,
 )
+from txsched.schedulers import candidate_grid
 
 
 @dataclass(frozen=True)

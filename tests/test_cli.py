@@ -28,6 +28,10 @@ def child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
 @pytest.fixture
 def small_scn(tmp_path):
     path = tmp_path / "small.scn"
@@ -79,6 +83,30 @@ class TestValidate:
             "simulated packets exceed the caps of 1000000 rows and "
             "1000000000 packets\n"
         )
+
+    def test_exhaustive_cap_refused_by_validate_and_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # eight connections with 42-point grids: 42**8 assignments
+        huge = tmp_path / "huge.scn"
+        huge.write_text(
+            "format txsched/1\n"
+            + "".join(
+                f"connection {i} deadline 420us packets 1 airtime 10us\n"
+                for i in range(8)
+            )
+            + "scheduler step 10us\nschedulers tsgs exhaustive\nseeds 1\n"
+        )
+        monkeypatch.setattr(experiment, "run_scheduler", no_work)
+        monkeypatch.setattr(experiment, "simulate", no_work)
+        for verb in ("validate", "run"):
+            assert main([verb, str(huge)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: 9682651996416 grid assignments exceed the enumeration "
+                "cap of 10000000\n"
+            )
 
     def test_invalid_scenario(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
@@ -170,9 +198,6 @@ class TestSweep:
     def test_unbounded_sweep_refused_before_any_work(self, monkeypatch, capsys):
         # validate counts these 10**12 + 1 points; running them would hold
         # 2 x 21 rows per point until memory runs out
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started")
-
         monkeypatch.setattr(experiment, "rescale_requests", no_work)
         monkeypatch.setattr(experiment, "simulate", no_work)
         argv = ["sweep", "table2", "--start", "0us", "--stop", "1000000000000us",
@@ -182,6 +207,33 @@ class TestSweep:
             "error: run too large: 42000000000042 rows and 4000000000004000 "
             "simulated packets exceed the caps of 1000000 rows and "
             "1000000000 packets\n"
+        )
+
+    def test_exhaustive_cap_of_the_last_window_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # three 1us-step grids: 201**3 assignments at window 200us fit
+        # the cap, 301**3 at the last window, 300us, do not
+        scn = tmp_path / "three.scn"
+        scn.write_text(
+            "format txsched/1\n"
+            + "".join(
+                f"connection {i} deadline 10us packets 1 airtime 10us\n"
+                for i in range(3)
+            )
+            + "scheduler step 1us\nschedulers exhaustive tsgs\nseeds 1\n"
+        )
+        for name in ("tsgs", "exhaustive", "random"):
+            monkeypatch.setattr(experiment, f"{name}_schedule", no_work)
+        monkeypatch.setattr(experiment, "simulate", no_work)
+        argv = ["sweep", str(scn), "--start", "0us", "--stop", "300us",
+                "--step", "100us"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 27270901 grid assignments exceed the enumeration cap of "
+            "10000000\n"
         )
 
     def test_invalid_grid(self, small_scn, capsys):
@@ -266,6 +318,27 @@ class TestResolution:
         added = modules_added_by("import txsched.cli")
         assert "txsched.cli" in added
         assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_package_exports():
+    assert txsched.__all__ == [
+        "ChannelConfig", "ComparisonSummary", "ConnectionStats",
+        "InadmissibleRequestError", "InstanceTooLargeError",
+        "MissingSchedulerError", "ScenarioError", "ScenarioSpec", "Schedule",
+        "ScheduleResult", "SchedulerConfig", "SchedulerSummary", "SimReport",
+        "SweepRow", "SweepTable", "TimePoint", "TimeSpan", "TransmissionRequest",
+        "WindowSweep", "compute_duration", "exhaustive_schedule", "feasible",
+        "format_summary", "load_scenario", "parse_scenario", "random_schedule",
+        "read_table", "render", "report_comparison", "rescale_requests",
+        "run_experiment", "run_scheduler", "simulate", "total_cost",
+        "tsgs_schedule", "window",
+    ]
+    assert txsched.__all__ == sorted(txsched.__all__)
+    for name in txsched.__all__:
+        getattr(txsched, name)
+    for name in ("pdr", "emit", "candidate_grid", "collision_summary"):
+        assert name not in txsched.__all__
+        assert not hasattr(txsched, name)
 
 
 def modules_added_by(statement):

@@ -17,10 +17,8 @@ from txsched import (
     SweepTable,
     TransmissionRequest,
     WindowSweep,
-    emit,
     format_summary,
     parse_scenario,
-    pdr,
     read_table,
     render,
     report_comparison,
@@ -82,7 +80,7 @@ class TestRunExperiment:
         table = small_table()
         # 3 sweep points x 3 schedulers x 3 seeds, plus 9 aggregates
         assert len(table.seed_rows()) == 27
-        assert sum(r.is_aggregate for r in table.rows) == 9
+        assert sum(r.seed == "mean" for r in table.rows) == 9
         assert table.connections == 2
 
     def test_rows_sorted_by_window_scheduler_seed(self):
@@ -95,17 +93,17 @@ class TestRunExperiment:
     def test_aggregate_follows_its_group(self):
         rows = small_table().rows
         for i, row in enumerate(rows):
-            if row.is_aggregate:
+            if row.seed == "mean":
                 prev = rows[i - 1]
                 assert (prev.window_us, prev.scheduler) == (
                     row.window_us,
                     row.scheduler,
                 )
-                assert not prev.is_aggregate
+                assert prev.seed != "mean"
 
     def test_aggregate_means(self):
         table = small_table()
-        for agg in (r for r in table.rows if r.is_aggregate):
+        for agg in (r for r in table.rows if r.seed == "mean"):
             group = [
                 r
                 for r in table.seed_rows()
@@ -175,6 +173,18 @@ class TestRunExperiment:
         ):
             run_experiment(spec)
 
+    def test_no_connections_refused_before_any_work(self, monkeypatch):
+        # no row of such a spec has a PDR
+        spec = parse_scenario(SMALL).replace(requests=())
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(experiment, "run_scheduler", no_work)
+        monkeypatch.setattr(experiment, "simulate", no_work)
+        with pytest.raises(ScenarioError, match="^scenario defines no connections$"):
+            run_experiment(spec)
+
     def test_unknown_scheduler_name(self):
         requests = parse_scenario(SMALL).requests
         with pytest.raises(ValueError) as err:
@@ -201,7 +211,7 @@ class TestEmission:
     def test_csv_header_and_line_count(self, tmp_path):
         table = small_table()
         out = tmp_path / "t.csv"
-        emit(table, "csv", out)
+        out.write_text(render(table, "csv"), encoding="utf-8")
         lines = out.read_text().splitlines()
         assert lines[0] == self.HEADER
         assert len(lines) == 1 + len(table.rows)
@@ -230,7 +240,7 @@ class TestEmission:
     def test_json_round_trip(self, tmp_path):
         table = small_table()
         out = tmp_path / "t.json"
-        emit(table, "json", out)
+        out.write_text(render(table, "json"), encoding="utf-8")
         assert read_table(out) == table
 
     def test_json_rejects_other_payloads(self, tmp_path):
@@ -509,15 +519,17 @@ def test_rows_equal_a_naive_reference(spec):
             row.scheduler, requests, spec.scheduler_config, row.seed
         )
         report = simulate(list(requests), result.schedule, spec.channel, row.seed)
-        assert row.pdr.hex() == pdr(report).hex()
+        sent = report.total_sent
+        assert row.pdr.hex() == (report.total_received / sent).hex()
         assert row.collisions == tuple(c.collided for c in report.per_connection)
         assert row.received == tuple(c.received for c in report.per_connection)
-        assert row.mean_delay_us.hex() == report.mean_delay_us.hex()
+        delay = sum(c.delay_total_us for c in report.per_connection)
+        assert row.mean_delay_us.hex() == (delay / sent).hex()
         assert (row.cost_us, row.candidate_evals) == (
             result.cost, result.candidate_evaluations
         )
         groups.setdefault((row.window_us, row.scheduler), []).append(row)
-    aggregates = [r for r in table.rows if r.is_aggregate]
+    aggregates = [r for r in table.rows if r.seed == "mean"]
     assert len(aggregates) == len(groups)
     for agg in aggregates:
         group = groups[agg.window_us, agg.scheduler]

@@ -18,7 +18,6 @@ from txsched import (
     Schedule,
     SchedulerConfig,
     TransmissionRequest,
-    candidate_grid,
     compute_duration,
     exhaustive_schedule,
     feasible,
@@ -30,6 +29,7 @@ from txsched import (
     total_cost,
     tsgs_schedule,
 )
+from txsched.schedulers import candidate_grid
 
 # derandomized: the same examples on every run, with no example database
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)

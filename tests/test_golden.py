@@ -29,6 +29,9 @@ GOLDEN = {
     ),
 }
 
+# sha256 of `run table2 --summary --out FILE`'s stdout: the summary alone
+SUMMARY = "857e786cbbdac015052e9fd0122e16800101c70b6cbb6eedfe32532bcd1aeebd"
+
 
 _CHANNEL = "channel slot_time 13us aifs 58us cw 15 ambient_loss 0.01\n"
 
@@ -114,6 +117,12 @@ def test_output_digest(name, tmp_path):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_summary_digest(tmp_path, capsys):
+    assert main(["run", "table2", "--summary", "--out", str(tmp_path / "t.csv")]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == SUMMARY
 
 
 @pytest.mark.parametrize("name", sorted(INLINE))

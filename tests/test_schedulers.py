@@ -9,7 +9,6 @@ from txsched import (
     Schedule,
     SchedulerConfig,
     TransmissionRequest,
-    candidate_grid,
     compute_duration,
     exhaustive_schedule,
     feasible,
@@ -19,6 +18,7 @@ from txsched import (
     tsgs_schedule,
     window,
 )
+from txsched.schedulers import candidate_grid
 
 
 def req(deadline, airtime, id=0, packets=1, overhead=0):

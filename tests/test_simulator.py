@@ -14,7 +14,6 @@ from txsched import (
     Schedule,
     SimReport,
     TransmissionRequest,
-    pdr,
     simulate,
     simulator,
     total_cost,
@@ -69,26 +68,26 @@ class TestForcedTies:
         reqs = train(2, packets=1)
         report = simulate(reqs, Schedule((0, 0)), ChannelConfig(cw=1), seed=5)
         assert [c.collided for c in report.per_connection] == [1, 1]
-        assert pdr(report) == 0.0
+        assert report.total_received / report.total_sent == 0.0
         assert report.backoff_activations == 0
 
     def test_three_way_simultaneous_commit(self):
         reqs = train(3, packets=1)
         report = simulate(reqs, Schedule((0, 0, 0)), ChannelConfig(), seed=5)
         assert [c.collided for c in report.per_connection] == [1, 1, 1]
-        assert pdr(report) == 0.0
+        assert report.total_received / report.total_sent == 0.0
 
     def test_aligned_full_trains_all_collide(self):
         report = simulate(train(2), Schedule((0, 0)), ChannelConfig(), seed=3)
         assert [c.collided for c in report.per_connection] == [50, 50]
-        assert pdr(report) == 0.0
+        assert report.total_received / report.total_sent == 0.0
 
 
 class TestDisjointSchedules:
     def test_gap_after_full_train_is_clean(self):
         report = simulate(train(2), Schedule((0, 4131)), ChannelConfig(), seed=9)
         assert [c.collided for c in report.per_connection] == [0, 0]
-        assert pdr(report) == 1.0
+        assert report.total_received / report.total_sent == 1.0
         assert report.backoff_activations == 0
 
     def test_random_disjoint_with_aifs_gaps(self):
@@ -104,7 +103,7 @@ class TestDisjointSchedules:
                 starts.append(t)
                 t += r.packet_count * (58 + 23) + 58
             report = simulate(reqs, Schedule(tuple(starts)), ChannelConfig(), seed=7)
-            assert pdr(report) == 1.0
+            assert report.total_received / report.total_sent == 1.0
             assert report.total_collided == 0
             assert report.backoff_activations == 0
 
@@ -138,7 +137,7 @@ class TestHandTracedContention:
         a, b = report.per_connection
         assert (a.received, a.collided) == (17, 33)
         assert (b.received, b.collided) == (17, 33)
-        assert pdr(report) == 0.34
+        assert report.total_received / report.total_sent == 0.34
 
 
 class TestConservationAndDeterminism:
@@ -175,7 +174,7 @@ class TestConservationAndDeterminism:
                 assert c.realized_duration_us >= r.packet_count * (
                     channel.aifs + r.packet_airtime
                 )
-            assert 0.0 <= pdr(report) <= 1.0
+            assert 0.0 <= report.total_received / report.total_sent <= 1.0
 
     def test_collisions_always_mutual(self):
         rng = random.Random(626262)
@@ -394,7 +393,7 @@ class TestAmbientLoss:
         report = simulate(train(1), Schedule((0,)), channel, seed=4)
         c = report.per_connection[0]
         assert (c.received, c.ambient_lost, c.collided) == (0, 50, 0)
-        assert pdr(report) == 0.0
+        assert report.total_received / report.total_sent == 0.0
 
     def test_rate_frequency_on_long_train(self):
         channel = ChannelConfig(ambient_loss_rate=0.3)
@@ -641,12 +640,7 @@ class TestReportOps:
             ),
             backoff_activations=0,
         )
-        assert pdr(report) == 0.86
-
-    def test_pdr_without_sent_packets(self):
-        report = SimReport(per_connection=(stats(0),), backoff_activations=0)
-        with pytest.raises(ValueError):
-            pdr(report)
+        assert report.total_received / report.total_sent == 0.86
 
     def test_collided_counts_in_request_order(self):
         report = SimReport(
@@ -669,15 +663,6 @@ class TestReportOps:
         totals = (report.total_sent, report.total_received,
                   report.total_collided, report.total_ambient_lost)
         assert totals == (9, 5, 1, 3)
-
-    def test_mean_delay_per_connection(self):
-        assert stats(4).replace(delay_total_us=26).mean_delay_us == 6.5
-        assert stats(0).mean_delay_us == 0.0
-
-    def test_mean_delay_aggregate(self):
-        report = simulate(train(2), Schedule((0, 100)), ChannelConfig(cw=1), seed=1)
-        total = sum(c.delay_total_us for c in report.per_connection)
-        assert report.mean_delay_us == total / 100
 
 
 class TestTrace:
