@@ -119,12 +119,15 @@ def check_run_size(spec: ScenarioSpec) -> tuple[int, int]:
     arithmetic however long the sweep.
 
     Raises:
-        ScenarioError: no connections, or the rows exceed ``MAX_ROWS`` or
-            the packets ``MAX_PACKETS``; the message names both counts.
+        ScenarioError: no connections or no seeds, or the rows exceed
+            ``MAX_ROWS`` or the packets ``MAX_PACKETS``; the message names
+            both counts.
         InstanceTooLargeError: exhaustive's cap refuses the widest window.
     """
     if not spec.requests:
         raise ScenarioError("scenario defines no connections")
+    if not spec.seeds:
+        raise ScenarioError("scenario defines no seeds")
     groups = (1 if spec.sweep is None else spec.sweep.count()) * len(spec.schedulers)
     rows = groups * (len(spec.seeds) + 1)
     packets = groups * len(spec.seeds) * sum(req.packet_count for req in spec.requests)

@@ -15,22 +15,34 @@ Each connection's grid is {0, step, 2*step, ..., sigma*step} with
 sigma = floor(window / step), so every candidate finishes at least
 ``margin`` before the deadline by construction.
 
-Candidates are scored through a prefix integral. Let k(x) be the number
-of placed half-open intervals covering instant x and C(t) the integral
-of k from 0 to t. A candidate [s, s + d) overlaps the placed intervals
-for C(s + d) - C(s) in total, and once the placed breakpoints are sorted
-each C(t) is one bisection plus integer arithmetic. The score is
-piecewise linear in s, so the first least-overlap start is one of at most
-4N + 2 grid points next to its breakpoints (see ``_least_overlap``). A
-connection placed against N intervals thus costs O(N log N) whatever its
-grid size G, rather than N * G pairwise overlaps, and tsgs costs
-O(N^2 log N) in all. The exhaustive walk scores whole grids on entering
-a level and skips every subtree whose partial overlap already reaches the
-best cost found. Its last level is scored from an overlap-difference
-table instead: every grid is a multiple of one step from 0, so two
-trains' overlap depends only on the difference of their grid indices, and
-the last level's scores against one penultimate start are one slice of a
-table built once per search.
+tsgs keeps the union of the placed intervals as one sorted list of
+disjoint busy spans, merging each new placement in with two bisections
+and one slice assignment (``_merge``), so touching spans join. A
+placement first walks that union for the first grid point whose train
+overlaps nothing (``_first_fit``). The least overlap is 0 exactly when
+such a start exists, and the first one in grid order is the first least
+start, so the walk's answer is the scan's. It costs O(U) for U busy
+spans, and U is 1 when trains pack back to back.
+
+Only a placement with no free start is scored, through a prefix
+integral. Let k(x) be the number of placed half-open intervals covering
+instant x and C(t) the integral of k from 0 to t. A candidate [s, s + d)
+overlaps the placed intervals for C(s + d) - C(s) in total, and once the
+placed breakpoints are sorted each C(t) is one bisection plus integer
+arithmetic. The score is piecewise linear in s, so the first
+least-overlap start is one of at most 4N + 2 grid points next to its
+breakpoints (see ``_least_overlap``). Such a placement against N
+intervals thus costs O(N log N) whatever its grid size G, rather than
+N * G pairwise overlaps, and tsgs costs O(N^2 log N) in all when no
+placement finds a free start.
+
+The exhaustive walk scores whole grids on entering a level and skips
+every subtree whose partial overlap already reaches the best cost found.
+Its last level is scored from an overlap-difference table instead: every
+grid is a multiple of one step from 0, so two trains' overlap depends
+only on the difference of their grid indices, and the last level's
+scores against one penultimate start are one slice of a table built once
+per search.
 
 All strategies report an operation counter with the paper's meaning, in
 closed form, not the work the fast path does: pairwise-overlap
@@ -43,7 +55,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 from operator import add
 
@@ -136,6 +148,12 @@ def candidate_grid(request: TransmissionRequest, config: SchedulerConfig) -> ran
     return range(0, window(request, config.margin) + 1, config.step)
 
 
+def _grid_size(grid: range) -> int:
+    """The number of points in a candidate grid, by arithmetic: ``len()``
+    of a range raises ``OverflowError`` past ``sys.maxsize``."""
+    return grid[-1] // grid.step + 1
+
+
 def _processing_order(
     requests: list[TransmissionRequest], config: SchedulerConfig
 ) -> list[int]:
@@ -192,7 +210,7 @@ def _least_overlap(
     A zero score cannot be beaten, so it ends the scan.
     """
     starts = grid
-    if len(grid) > 4 * len(spans) + 2:
+    if _grid_size(grid) > 4 * len(spans) + 2:
         step = grid.step
         candidates = {0, grid[-1]}
         for a, b in spans:
@@ -210,6 +228,40 @@ def _least_overlap(
     return best_start, best
 
 
+def _first_fit(
+    grid: range, duration: TimeSpan, busy: list[TimePoint]
+) -> TimePoint | None:
+    """The first start in grid whose [s, s + duration) overlaps none of
+    the disjoint busy spans, or None if every start overlaps one.
+
+    ``busy`` holds the spans' bounds in order, [a0, b0, a1, b1, ...]. The
+    walk keeps the first start that clears every span before the current
+    one; a span that the train would overlap moves it to the first grid
+    point at or after the span's end.
+    """
+    step, last = grid.step, grid[-1]
+    start = 0
+    bounds = iter(busy)
+    for a, b in zip(bounds, bounds):
+        if start + duration <= a:
+            break
+        if start < b:
+            start = -(-b // step) * step
+            if start > last:
+                return None
+    return start
+
+
+def _merge(busy: list[TimePoint], a: TimePoint, b: TimePoint) -> None:
+    """Merge [a, b) into the disjoint sorted bounds ``busy`` in place;
+    spans it overlaps or touches join it."""
+    # an even index lies outside every span, so its bound survives; an odd
+    # one lies inside or at the edge of a span that absorbs it
+    i = bisect_left(busy, a)
+    j = bisect_right(busy, b)
+    busy[i:j] = ([a] if i % 2 == 0 else []) + ([b] if j % 2 == 0 else [])
+
+
 def tsgs_schedule(
     requests: list[TransmissionRequest], config: SchedulerConfig
 ) -> ScheduleResult:
@@ -218,19 +270,25 @@ def tsgs_schedule(
     For each connection in processing order, every candidate start is
     scored by its summed overlap against the intervals already fixed, and
     the connection is pinned at the lowest-scoring candidate (smallest
-    grid index on ties). Earlier placements are never moved.
+    grid index on ties). Earlier placements are never moved. The first
+    start that overlaps nothing is found by ``_first_fit``; only when no
+    such start exists are candidates scored, by ``_least_overlap``.
     """
     starts: list[TimePoint] = [0] * len(requests)
     placed: _Spans = []
+    busy: list[TimePoint] = []  # the union of placed, see _first_fit
     evaluations = 0
     for idx in _processing_order(requests, config):
         req = requests[idx]
         grid = candidate_grid(req, config)
         duration = compute_duration(req)
-        start, _ = _least_overlap(grid, duration, placed)
-        evaluations += len(grid) * len(placed)
+        start = _first_fit(grid, duration, busy)
+        if start is None:
+            start, _ = _least_overlap(grid, duration, placed)
+        evaluations += _grid_size(grid) * len(placed)
         starts[idx] = start
         placed.append((start, start + duration))
+        _merge(busy, start, start + duration)
     return _result(starts, requests, evaluations)
 
 
@@ -261,8 +319,7 @@ def _first_least(base: list, row: list) -> tuple[int, TimeSpan]:
 
 def _assignments(grids: list[range]) -> int:
     """The product of the grid sizes; raises above ``ENUMERATION_CAP``."""
-    # by arithmetic: len() of a range overflows past sys.maxsize
-    size = math.prod(grid[-1] // grid.step + 1 for grid in grids)
+    size = math.prod(map(_grid_size, grids))
     if size > ENUMERATION_CAP:
         raise InstanceTooLargeError(
             f"{size} grid assignments exceed the enumeration cap of {ENUMERATION_CAP}"
@@ -374,5 +431,5 @@ def random_schedule(
     starts = []
     for req in requests:
         grid = candidate_grid(req, config)
-        starts.append(grid[rng.randrange(len(grid))])
+        starts.append(grid[rng.randrange(_grid_size(grid))])
     return _result(starts, requests, 0)

@@ -65,6 +65,21 @@ class TestValidate:
                 f"{points * 2 * 2 * 4} simulated packets "
             )
 
+    def test_grid_too_long_for_len_is_scheduled(self, tmp_path, capsys):
+        # a grid of 10**29 - 22 points: tsgs and random count it by arithmetic
+        huge = tmp_path / "huge.scn"
+        huge.write_text(
+            "format txsched/1\n"
+            f"connection 0 deadline {10**29}us packets 1 airtime 23us\n"
+            "scheduler step 1us\nschedulers tsgs random\nseeds 1\n"
+        )
+        assert main(["validate", str(huge)]) == 0
+        assert capsys.readouterr().out.startswith("ok: 1 connections")
+        assert main(["run", str(huge)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == 1 + 4
+
     def test_validate_refuses_what_sweep_refuses(self, tmp_path, capsys):
         # table2 with the 10**12-point sweep that
         # TestSweep.test_unbounded_sweep_refused_before_any_work runs

@@ -46,6 +46,10 @@ seeds 7 3 11
 """
 
 
+def no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
 def small_table():
     return run_experiment(parse_scenario(SMALL))
 
@@ -160,10 +164,6 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, cap, rows if cap == "MAX_ROWS" else packets)
         assert experiment.check_run_size(spec) == (rows, packets)
         assert len(run_experiment(spec).rows) == rows
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started")
-
         monkeypatch.setattr(experiment, cap, getattr(experiment, cap) - 1)
         monkeypatch.setattr(experiment, "run_scheduler", no_work)
         monkeypatch.setattr(experiment, "simulate", no_work)
@@ -176,13 +176,17 @@ class TestRunExperiment:
     def test_no_connections_refused_before_any_work(self, monkeypatch):
         # no row of such a spec has a PDR
         spec = parse_scenario(SMALL).replace(requests=())
-
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started")
-
         monkeypatch.setattr(experiment, "run_scheduler", no_work)
         monkeypatch.setattr(experiment, "simulate", no_work)
         with pytest.raises(ScenarioError, match="^scenario defines no connections$"):
+            run_experiment(spec)
+
+    def test_no_seeds_refused_before_any_work(self, monkeypatch):
+        # every row's aggregate needs at least one seed
+        spec = parse_scenario(SMALL).replace(seeds=())
+        monkeypatch.setattr(experiment, "run_scheduler", no_work)
+        monkeypatch.setattr(experiment, "simulate", no_work)
+        with pytest.raises(ScenarioError, match="^scenario defines no seeds$"):
             run_experiment(spec)
 
     def test_unknown_scheduler_name(self):

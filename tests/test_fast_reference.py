@@ -140,6 +140,7 @@ def tsgs_reach(requests, config, starts):
                 sum(reference.overlap(reference.Interval(s, d), p) for p in placed)
                 for s in grid
             ]
+            reached.add("first fit" if min(scores) == 0 else "no free start")
             if scores.count(min(scores)) > 1:
                 reached.add("zero-score tie" if min(scores) == 0 else "positive tie")
         placed.append(reference.Interval(starts[i], d))
@@ -164,7 +165,45 @@ def test_tsgs_large_grids_equal_reference():
         "three breakpoints inside one grid segment",
         "zero-score tie",
         "positive tie",
+        "first fit",
+        "no free start",
     }
+
+
+@st.composite
+def busy_walks(draw):
+    """Spans laid left to right, each touching, a gap of exactly the
+    train's duration d, or a drawn gap or overlap after the one before,
+    merged in a drawn order; steps run from 1 to longer than a gap of d."""
+    duration = draw(st.integers(1, 12))
+    step = draw(st.integers(1, 3 * duration))
+    spans = []
+    end = draw(st.sampled_from((0, duration, step)))
+    for _ in range(draw(st.integers(0, 6))):
+        begin = end + draw(
+            st.one_of(st.sampled_from((0, duration)), st.integers(-end, 2 * duration))
+        )
+        end = begin + draw(st.integers(1, 3 * duration))
+        spans.append((begin, end))
+    spans = draw(st.permutations(spans))
+    last = draw(st.integers(0, end + 2 * step))
+    return range(0, last + 1, step), duration, spans
+
+
+@PROPERTY
+@given(busy_walks())
+def test_first_fit_equals_first_free_grid_point(walk):
+    grid, duration, spans = walk
+    busy = []
+    for a, b in spans:
+        schedulers._merge(busy, a, b)
+    # the union: sorted bounds of disjoint spans that do not touch
+    assert len(busy) % 2 == 0 and busy == sorted(set(busy))
+    for x in range(max([0] + busy) + 1):
+        inside = any(a <= x < b for a, b in zip(busy[::2], busy[1::2]))
+        assert inside == any(a <= x < b for a, b in spans)
+    free = [s for s in grid if all(s >= b or s + duration <= a for a, b in spans)]
+    assert schedulers._first_fit(grid, duration, busy) == (free[0] if free else None)
 
 
 @st.composite

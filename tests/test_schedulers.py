@@ -130,8 +130,10 @@ class TestTsgs:
         assert tsgs_schedule(requests, config) == tsgs_schedule(requests, config)
 
     def test_work_bounded_by_breakpoints_not_grid(self, monkeypatch):
-        # trains longer than their windows of about 100 ms overlap pairwise
-        # whatever the starts, on grids of over 10**5 points each
+        # trains of 100 to 111 ms in windows of about 100 ms, on grids of
+        # over 10**5 points each: the first sits at 0 and the second fits
+        # free at 100,000, right after it; every later start overlaps the
+        # first two, so only those placements are scored
         rs = [
             req(100_000 + 37 * i + length, length, id=i)
             for i, length in enumerate(range(100_000, 112_000, 1_000))
@@ -149,7 +151,8 @@ class TestTsgs:
         result = tsgs_schedule(rs, config)
         grids = [len(candidate_grid(r, config)) for r in rs]
         assert min(grids) > 10**5
-        assert [placed for _, placed in scored] == list(range(len(rs)))
+        assert result.schedule.starts[:2] == (0, 100_000)
+        assert [placed for _, placed in scored] == list(range(2, len(rs)))
         assert all(count <= 4 * placed + 2 for count, placed in scored)
         assert feasible(result.schedule, rs)
         assert result.cost == total_cost(result.schedule, rs) > 0
