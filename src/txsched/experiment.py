@@ -18,7 +18,7 @@ import math
 from pathlib import Path
 
 from .core import TransmissionRequest, _Record, compute_duration
-from .scenario import ScenarioError, ScenarioSpec
+from .scenario import SCHEDULER_NAMES, ScenarioError, ScenarioSpec
 from .schedulers import (
     ScheduleResult,
     SchedulerConfig,
@@ -119,15 +119,33 @@ def check_run_size(spec: ScenarioSpec) -> tuple[int, int]:
     arithmetic however long the sweep.
 
     Raises:
-        ScenarioError: no connections or no seeds, or the rows exceed
-            ``MAX_ROWS`` or the packets ``MAX_PACKETS``; the message names
-            both counts.
+        ScenarioError: no connections, no seeds, a seed that is not an
+            int or is listed twice, no schedulers, a scheduler name not in
+            ``SCHEDULER_NAMES`` or listed twice, as the parser refuses
+            them; or the rows exceed ``MAX_ROWS`` or the packets
+            ``MAX_PACKETS``, and then the message names both counts.
         InstanceTooLargeError: exhaustive's cap refuses the widest window.
     """
     if not spec.requests:
         raise ScenarioError("scenario defines no connections")
     if not spec.seeds:
         raise ScenarioError("scenario defines no seeds")
+    seen: set[int] = set()
+    for seed in spec.seeds:
+        if type(seed) is not int:
+            raise ScenarioError(f"seed must be an int, got {seed!r}")
+        if seed in seen:
+            raise ScenarioError(f"seed {seed} listed twice")
+        seen.add(seed)
+    if not spec.schedulers:
+        raise ScenarioError("scenario defines no schedulers")
+    for i, name in enumerate(spec.schedulers):
+        if name not in SCHEDULER_NAMES:
+            raise ScenarioError(
+                f"unknown scheduler {name!r}; expected one of {SCHEDULER_NAMES}"
+            )
+        if name in spec.schedulers[:i]:
+            raise ScenarioError(f"scheduler {name!r} listed twice")
     groups = (1 if spec.sweep is None else spec.sweep.count()) * len(spec.schedulers)
     rows = groups * (len(spec.seeds) + 1)
     packets = groups * len(spec.seeds) * sum(req.packet_count for req in spec.requests)
@@ -156,19 +174,25 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
     placed apart make the same run wherever they sit. A row whose run
     (trains, channel, seed, and the starts up to the idle gaps a shift
     cannot change; see `simulate`) an earlier row made gets that row's
-    report whenever its deadlines leave the report unchanged.
+    report whenever its deadlines leave the report unchanged. A row's
+    PDR, collided and received counts and mean delay are built once per
+    distinct report and shared by every row that gets it back.
     Deterministic: the same spec yields an identical table.
 
     Raises:
         ScenarioError: ``check_run_size`` refuses the scenario; nothing
             is scheduled or simulated then.
     """
+    check_run_size(spec)
     points = spec.sweep.points() if spec.sweep is not None else [NATIVE_WINDOW]
     seeds = sorted(spec.seeds)
-    check_run_size(spec)
     connections = len(spec.requests)
     rows: list[SweepRow] = []
     memo: dict = {}  # simulate's, for this call only
+    # id(report) -> (report, pdr, collided, received, mean delay); holding
+    # the report keeps its id from being reused within this call. Only
+    # late-free reports are filed: simulate's memo returns no other again.
+    made: dict[int, tuple] = {}
     for window_us in points:
         if window_us == NATIVE_WINDOW:
             requests = spec.requests
@@ -176,6 +200,7 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
             requests = rescale_requests(
                 spec.requests, window_us, spec.scheduler_config
             )
+        listed = list(requests)
         for name in sorted(spec.schedulers):
             fixed = (
                 None
@@ -190,25 +215,35 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
                     else run_scheduler(name, requests, spec.scheduler_config, seed)
                 )
                 report = simulate(
-                    list(requests), result.schedule, spec.channel, seed, memo=memo
+                    listed, result.schedule, spec.channel, seed, memo=memo
                 )
-                received, collided = [], []
-                sent = delay = 0
-                for c in report.per_connection:
-                    received.append(c.received)
-                    collided.append(c.collided)
-                    sent += c.sent
-                    delay += c.delay_total_us
+                values = made.get(id(report))
+                if values is None:
+                    values = (report, *_report_values(report))
+                    if not any(c.delivered_late for c in report.per_connection):
+                        made[id(report)] = values
+                _, pdr, collided, received, delay = values
                 group.append(
                     SweepRow(
-                        window_us, name, seed, sum(received) / sent, result.cost,
-                        result.candidate_evaluations, tuple(collided),
-                        tuple(received), delay / sent,
+                        window_us, name, seed, pdr, result.cost,
+                        result.candidate_evaluations, collided, received, delay,
                     )
                 )
             rows.extend(group)
             rows.append(_aggregate(group, connections))
     return SweepTable(connections=connections, rows=tuple(rows))
+
+
+def _report_values(report) -> tuple:
+    """A run's PDR, collided and received tuples and mean delay."""
+    received, collided = [], []
+    sent = delay = 0
+    for c in report.per_connection:
+        received.append(c.received)
+        collided.append(c.collided)
+        sent += c.sent
+        delay += c.delay_total_us
+    return sum(received) / sent, tuple(collided), tuple(received), delay / sent
 
 
 def _mean(values) -> float:

@@ -148,10 +148,11 @@ def candidate_grid(request: TransmissionRequest, config: SchedulerConfig) -> ran
     return range(0, window(request, config.margin) + 1, config.step)
 
 
-def _grid_size(grid: range) -> int:
-    """The number of points in a candidate grid, by arithmetic: ``len()``
-    of a range raises ``OverflowError`` past ``sys.maxsize``."""
-    return grid[-1] // grid.step + 1
+def _grid_size(last: TimePoint, step: TimeSpan) -> int:
+    """The number of grid points 0, step, ... up to ``last``, by
+    arithmetic: ``len()`` of a range raises ``OverflowError`` past
+    ``sys.maxsize``."""
+    return last // step + 1
 
 
 def _processing_order(
@@ -210,8 +211,8 @@ def _least_overlap(
     A zero score cannot be beaten, so it ends the scan.
     """
     starts = grid
-    if _grid_size(grid) > 4 * len(spans) + 2:
-        step = grid.step
+    step = grid.step
+    if _grid_size(grid[-1], step) > 4 * len(spans) + 2:
         candidates = {0, grid[-1]}
         for a, b in spans:
             for rise in (b, a - duration):
@@ -285,7 +286,7 @@ def tsgs_schedule(
         start = _first_fit(grid, duration, busy)
         if start is None:
             start, _ = _least_overlap(grid, duration, placed)
-        evaluations += _grid_size(grid) * len(placed)
+        evaluations += _grid_size(grid[-1], grid.step) * len(placed)
         starts[idx] = start
         placed.append((start, start + duration))
         _merge(busy, start, start + duration)
@@ -319,7 +320,7 @@ def _first_least(base: list, row: list) -> tuple[int, TimeSpan]:
 
 def _assignments(grids: list[range]) -> int:
     """The product of the grid sizes; raises above ``ENUMERATION_CAP``."""
-    size = math.prod(map(_grid_size, grids))
+    size = math.prod(_grid_size(grid[-1], grid.step) for grid in grids)
     if size > ENUMERATION_CAP:
         raise InstanceTooLargeError(
             f"{size} grid assignments exceed the enumeration cap of {ENUMERATION_CAP}"
@@ -425,11 +426,13 @@ def random_schedule(
 ) -> ScheduleResult:
     """Draw each start independently and uniformly from its grid.
 
-    Deterministic for a given seed; feasible by grid construction.
+    Deterministic for a given seed; feasible by grid construction. Each
+    draw picks a grid index, and the start is that index times the step.
     """
     rng = random.Random(seed)
-    starts = []
-    for req in requests:
-        grid = candidate_grid(req, config)
-        starts.append(grid[rng.randrange(_grid_size(grid))])
+    step, margin = config.step, config.margin
+    starts = [
+        rng.randrange(_grid_size(window(req, margin), step)) * step
+        for req in requests
+    ]
     return _result(starts, requests, 0)

@@ -585,7 +585,10 @@ def simulate(
     events and the random draws come in the same order, shifted, and every
     report field is measured from the connection's own start. After the
     first overlap a train's end is known only once the run is made, so
-    every later train keeps the shift reached there. The memo keeps the
+    every later train keeps the shift reached there. The memo holds one
+    entry per trains and channel: the closed starts of each raw
+    ``schedule.starts`` it has seen, so a repeated schedule is closed
+    once, and the reports by closed starts and seed. It keeps the
     reports that count no late packet, and returns a kept report of the
     same run when every new deadline falls at or after its connection's
     last packet end, counted from the call's own start, since the fresh
@@ -605,16 +608,25 @@ def simulate(
     runs = None
     if memo is not None and trace is None:
         # the trains and channel are shared by every call of an experiment,
-        # so the reports are filed by them once, then by closed starts and seed
+        # so the reports are filed by them once, then by closed starts and
+        # seed; each schedule's closed starts are made once per entry
         trains = tuple(map(_train, requests))
-        runs = memo.setdefault((trains, channel), {})
-        key = (_closed_starts(schedule.starts, trains, channel.aifs), seed)
+        entry = memo.get((trains, channel))
+        if entry is None:
+            entry = memo[trains, channel] = ({}, {})
+        closed_of, runs = entry
+        starts = schedule.starts
+        closed = closed_of.get(starts)
+        if closed is None:
+            closed = closed_of[starts] = _closed_starts(starts, trains, channel.aifs)
+        key = (closed, seed)
         stored = runs.get(key)
-        if stored is not None and all(
-            req.deadline >= start + c.realized_duration_us
-            for req, start, c in zip(requests, schedule.starts, stored.per_connection)
-        ):
-            return stored
+        if stored is not None:
+            for req, start, c in zip(requests, starts, stored.per_connection):
+                if req.deadline < start + c.realized_duration_us:
+                    break
+            else:
+                return stored
     senders = [SenderState(req, start) for req, start in zip(requests, schedule.starts)]
     activations = _run(senders, channel, seed, trace)
     stats = tuple(

@@ -189,6 +189,36 @@ class TestRunExperiment:
         with pytest.raises(ScenarioError, match="^scenario defines no seeds$"):
             run_experiment(spec)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            # the parser refuses each of these; a library caller's spec
+            # is refused the same way, before any work
+            ("seeds", ("mean",), "seed must be an int, got 'mean'"),
+            ("seeds", (7.0,), "seed must be an int, got 7.0"),
+            ("seeds", (True,), "seed must be an int, got True"),
+            ("seeds", (101, 101, 102), "seed 101 listed twice"),
+            ("schedulers", ("tsgs", "zzz"),
+             "unknown scheduler 'zzz'; expected one of "
+             "('exhaustive', 'random', 'tsgs')"),
+            ("schedulers", (), "scenario defines no schedulers"),
+            ("schedulers", ("tsgs", "tsgs"), "scheduler 'tsgs' listed twice"),
+        ],
+        ids=["str-seed", "float-seed", "bool-seed", "repeated-seed",
+             "unknown-scheduler", "no-schedulers", "repeated-scheduler"],
+    )
+    def test_bad_seeds_and_schedulers_refused_before_any_work(
+        self, monkeypatch, field, value, message
+    ):
+        spec = parse_scenario(SMALL).replace(**{field: value})
+        for name in ("run_scheduler", "tsgs_schedule", "exhaustive_schedule",
+                     "random_schedule", "simulate"):
+            monkeypatch.setattr(experiment, name, no_work)
+        for check in (experiment.check_run_size, run_experiment):
+            with pytest.raises(ScenarioError) as info:
+                check(spec)
+            assert str(info.value) == message
+
     def test_unknown_scheduler_name(self):
         requests = parse_scenario(SMALL).requests
         with pytest.raises(ValueError) as err:
@@ -482,25 +512,52 @@ def test_workload_tables_equal_tables_without_memo(name, seed):
 
 
 def test_table2_simulates_each_distinct_run_once_per_call(monkeypatch):
-    calls, runs = [], []
-    real_simulate, real_run = experiment.simulate, simulator._run
-    monkeypatch.setattr(
-        experiment, "simulate",
-        lambda *args, **kwargs: calls.append(1) or real_simulate(*args, **kwargs),
-    )
-    monkeypatch.setattr(
-        simulator, "_run", lambda *args: runs.append(1) or real_run(*args)
-    )
+    calls, closings, runs, builds = [], [], [], []
+
+    def counted(module, name, made):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, **kwargs: made.append(1) or real(*args, **kwargs)
+        )
+
+    counted(experiment, "simulate", calls)
+    counted(simulator, "_closed_starts", closings)
+    counted(simulator, "_run", runs)
+    counted(experiment, "_report_values", builds)
     spec = load_scenario(resolve_scenario("table2"))
-    # the memo lives for one call: a second one runs as many times again
+    # the memo and the row values live for one call: a second one does as
+    # much work again
     for _ in range(2):
-        calls.clear()
-        runs.clear()
+        for made in (calls, closings, runs, builds):
+            made.clear()
         run_experiment(spec)
-        # one simulate call per row, 83 distinct runs among the 400: a
-        # run is its starts up to the idle gaps that a shift cannot change,
-        # so rows whose trains sit apart share one run wherever they start
-        assert (len(calls), len(runs)) == (400, 83)
+        # one simulate call per row, 87 distinct schedules among the 400,
+        # each closed once, and 83 distinct runs: a run is its starts up to
+        # the idle gaps that a shift cannot change, so rows whose trains
+        # sit apart share one run wherever they start. Each run's row
+        # values are built once.
+        assert (len(calls), len(closings), len(runs), len(builds)) == (
+            400, 87, 83, 83
+        )
+
+
+def test_fresh_report_per_row_gets_its_own_values(monkeypatch):
+    # with no memo every row gets a new report, and one freed after its
+    # row could hand its id to a later one; the row cache holds each
+    # report it files, so within a call no filed id is reused
+    expected = []
+
+    def fresh(*args, memo=None, **kwargs):
+        report = simulate(*args, **kwargs)
+        expected.append(experiment._report_values(report))
+        return report
+
+    monkeypatch.setattr(experiment, "simulate", fresh)
+    table = run_experiment(load_scenario(resolve_scenario("table2")))
+    assert len(expected) == 400
+    assert [
+        (r.pdr, r.collisions, r.received, r.mean_delay_us) for r in table.seed_rows()
+    ] == expected
 
 
 # -- rows and rendering against naive references -----------------------

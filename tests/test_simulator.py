@@ -267,7 +267,7 @@ def closed_starts(requests, schedule, channel):
     memo = {}
     roomy = [r.replace(deadline=10**9) for r in requests]
     simulate(roomy, schedule, channel, 0, memo=memo)
-    [runs] = memo.values()
+    [(_closed_of, runs)] = memo.values()
     [(starts, _seed)] = runs
     return Schedule(starts)
 
@@ -612,8 +612,11 @@ class TestMemo:
         assert simulate(*run, trace=[], memo=memo) == simulate(*run)
         assert memo == {}
         stored = simulate(*run, memo=memo)
-        before = {key: dict(runs) for key, runs in memo.items()}
-        assert [list(runs.values()) for runs in before.values()] == [[stored]]
+        before = {
+            key: (dict(closed_of), dict(runs))
+            for key, (closed_of, runs) in memo.items()
+        }
+        assert [list(runs.values()) for _, runs in before.values()] == [[stored]]
         trace = []
         assert simulate(*run, trace=trace, memo=memo) == stored
         assert trace
