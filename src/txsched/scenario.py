@@ -77,7 +77,8 @@ class WindowSweep(_Record):
 
 
 class ScenarioSpec(_Record):
-    """A fully validated experiment description."""
+    """A fully validated experiment description; the constructor applies
+    the parser's rules, and messages, to connections, seeds and schedulers."""
 
     __slots__ = ("requests", "schedulers", "scheduler_config", "channel",
                  "seeds", "sweep")
@@ -88,6 +89,46 @@ class ScenarioSpec(_Record):
     channel: ChannelConfig
     seeds: tuple[int, ...]
     sweep: WindowSweep | None
+
+    def _check(self) -> None:
+        _need(self.requests, "connections")
+        _need(self.seeds, "seeds")
+        seen: set = set()
+        for seed in self.seeds:
+            _add_seed(seed, seen)
+        _need(self.schedulers, "schedulers")
+        seen = set()
+        for name in self.schedulers:
+            _add_scheduler(name, seen)
+
+
+# the rules that make a spec runnable, one function each; ScenarioSpec and
+# parse_scenario both apply them, the parser one directive at a time
+
+
+def _need(items, what: str) -> None:
+    if not items:
+        raise ScenarioError(f"scenario defines no {what}")
+
+
+def _add_seed(seed, seen: set) -> None:
+    """Refuse a seed that is not an int or is in `seen`; else add it."""
+    if type(seed) is not int:
+        raise ScenarioError(f"seed must be an int, got {seed!r}")
+    if seed in seen:
+        raise ScenarioError(f"seed {seed} listed twice")
+    seen.add(seed)
+
+
+def _add_scheduler(name, seen: set) -> None:
+    """Refuse an unknown scheduler name or one in `seen`; else add it."""
+    if name not in SCHEDULER_NAMES:
+        raise ScenarioError(
+            f"unknown scheduler {name!r}; expected one of {SCHEDULER_NAMES}"
+        )
+    if name in seen:
+        raise ScenarioError(f"scheduler {name!r} listed twice")
+    seen.add(name)
 
 
 def _fail(source: str, lineno: int, message: str) -> None:
@@ -165,12 +206,13 @@ def _fields(source: str, lineno: int, directive: str, args: list[str], name: str
     return fields
 
 
-def _build(source: str, lineno: int, what: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, its ValueError reported as ``invalid <what>``."""
+def _build(source: str, lineno: int, what: str | None, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError reported at this line, as
+    ``invalid <what>: ...`` when `what` is given."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        _fail(source, lineno, f"invalid {what}: {exc}")
+        _fail(source, lineno, f"invalid {what}: {exc}" if what else str(exc))
 
 
 def _channel(airtime: TimeSpan = DEFAULT_AIRTIME, **config) -> tuple[ChannelConfig, int]:
@@ -232,38 +274,28 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
                 _fail(source, lineno, "duplicate schedulers directive")
             if not args:
                 _fail(source, lineno, "schedulers needs at least one name")
+            seen_names: set[str] = set()
             for name in args:
-                if name not in SCHEDULER_NAMES:
-                    _fail(
-                        source, lineno,
-                        f"unknown scheduler {name!r}; expected one of "
-                        f"{SCHEDULER_NAMES}",
-                    )
-                if name in scheduler_names:
-                    _fail(source, lineno, f"scheduler {name!r} listed twice")
-                scheduler_names.append(name)
+                _build(source, lineno, None, _add_scheduler, name, seen_names)
+            scheduler_names = args
         elif directive == "seeds":
             if not args:
                 _fail(source, lineno, "seeds needs at least one value")
             for token in args:
                 seed = _parse_int(source, lineno, "seed", token)
-                if seed in seen_seeds:
-                    _fail(source, lineno, f"seed {seed} listed twice")
-                seen_seeds.add(seed)
+                _build(source, lineno, None, _add_seed, seed, seen_seeds)
                 seeds.append(seed)
         else:
             _fail(source, lineno, f"unknown directive {directive!r}")
 
     if not format_seen:
         _fail(source, 1, f"missing 'format {FORMAT_TAG}' directive")
-    if not connections:
-        _fail(source, 1, "scenario defines no connections")
+    _build(source, 1, None, _need, connections, "connections")
     if "scheduler" not in built:
         _fail(source, 1, "scenario is missing the scheduler directive")
     if not scheduler_names:
         _fail(source, 1, "scenario is missing the schedulers directive")
-    if not seeds:
-        _fail(source, 1, "scenario defines no seeds")
+    _build(source, 1, None, _need, seeds, "seeds")
     config = built["scheduler"]
     channel, default_airtime = built.get("channel") or _channel()
 
@@ -301,4 +333,11 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
         OSError: the file cannot be read.
     """
     path = Path(path)
-    return parse_scenario(path.read_text(encoding="utf-8"), source=str(path))
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, counted as parse_scenario counts lines
+        lineno = len(data[: exc.start + 1].decode("utf-8", "replace").splitlines())
+        _fail(str(path), lineno, f"byte {data[exc.start]:#04x} is not UTF-8 text")
+    return parse_scenario(text, source=str(path))

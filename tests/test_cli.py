@@ -130,6 +130,14 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "bad.scn:2:" in err
 
+    def test_non_utf8_scenario_is_a_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(SMALL.encode().replace(b"seeds", b"# caf\xe9\nseeds"))
+        assert main(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}:7: byte 0xe9 is not UTF-8 text\n"
+        )
+
 
 class TestRun:
     def test_csv_to_file(self, small_scn, tmp_path, capsys):
@@ -333,6 +341,14 @@ class TestResolution:
         added = modules_added_by("import txsched.cli")
         assert "txsched.cli" in added
         assert not added & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_import_adds_only_stdlib_modules():
+    # the package declares no runtime dependencies
+    added = modules_added_by("import txsched")
+    assert "txsched" in added
+    allowed = sys.stdlib_module_names | {"txsched"}
+    assert not {name for name in added if name.split(".")[0] not in allowed}
 
 
 def test_package_exports():

@@ -272,6 +272,14 @@ _ROW = dict(
     candidate_evals=4, collisions=(1, 0), received=(1, 2), mean_delay_us=6.5,
 )
 _SUMMARY = dict(mean_pdr=0.75, mean_collided=1.0, mean_delay_us=6.5)
+_SPEC = dict(
+    requests=(TransmissionRequest(**_REQUEST),),
+    schedulers=("random", "tsgs"),
+    scheduler_config=SchedulerConfig(step=81),
+    channel=ChannelConfig(),
+    seeds=(3, 7),
+    sweep=WindowSweep(243, 729, 243),
+)
 
 # every public value type: its fields in declaration order, and one field
 # changed to another valid value
@@ -300,18 +308,7 @@ RECORDS = [
         ("cost", 2),
     ),
     (WindowSweep, dict(start=243, stop=729, step=243), ("stop", 486)),
-    (
-        ScenarioSpec,
-        dict(
-            requests=(TransmissionRequest(**_REQUEST),),
-            schedulers=("random", "tsgs"),
-            scheduler_config=SchedulerConfig(step=81),
-            channel=ChannelConfig(),
-            seeds=(3, 7),
-            sweep=WindowSweep(243, 729, 243),
-        ),
-        ("sweep", None),
-    ),
+    (ScenarioSpec, _SPEC, ("sweep", None)),
     (SweepRow, _ROW, ("seed", "mean")),
     (SweepTable, dict(connections=2, rows=(SweepRow(**_ROW),)), ("rows", ())),
     (SchedulerSummary, _SUMMARY, ("mean_pdr", 0.5)),
@@ -416,6 +413,7 @@ _VALID = {
     ChannelConfig: {},
     SchedulerConfig: {"step": 81},
     WindowSweep: {"start": 243, "stop": 729, "step": 243},
+    ScenarioSpec: _SPEC,
 }
 CHECKS = [
     (TransmissionRequest, {"id": -1}, "connection id must be >= 0, got -1"),
@@ -446,6 +444,16 @@ CHECKS = [
     (WindowSweep, {"step": 0}, "sweep step must be > 0, got 0"),
     (WindowSweep, {"start": -1}, "sweep start must be >= 0, got -1"),
     (WindowSweep, {"stop": 242}, "sweep stop 242 is below start 243"),
+    (ScenarioSpec, {"requests": ()}, "scenario defines no connections"),
+    (ScenarioSpec, {"seeds": ()}, "scenario defines no seeds"),
+    (ScenarioSpec, {"seeds": (3, 7, 3)}, "seed 3 listed twice"),
+    (ScenarioSpec, {"schedulers": ()}, "scenario defines no schedulers"),
+    (
+        ScenarioSpec,
+        {"schedulers": ("tsgs", "zzz")},
+        "unknown scheduler 'zzz'; expected one of ('exhaustive', 'random', 'tsgs')",
+    ),
+    (ScenarioSpec, {"schedulers": ("tsgs", "tsgs")}, "scheduler 'tsgs' listed twice"),
 ]
 
 
@@ -475,6 +483,8 @@ TYPE_CHECKS = [
     (WindowSweep, {"start": 0.5}, "sweep start must be an int, got 0.5"),
     (WindowSweep, {"stop": 729.0}, "sweep stop must be an int, got 729.0"),
     (WindowSweep, {"step": True}, "sweep step must be an int, got True"),
+    (ScenarioSpec, {"seeds": (3.0,)}, "seed must be an int, got 3.0"),
+    (ScenarioSpec, {"seeds": (True,)}, "seed must be an int, got True"),
 ]
 
 

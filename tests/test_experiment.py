@@ -173,27 +173,23 @@ class TestRunExperiment:
         ):
             run_experiment(spec)
 
-    def test_no_connections_refused_before_any_work(self, monkeypatch):
-        # no row of such a spec has a PDR
-        spec = parse_scenario(SMALL).replace(requests=())
-        monkeypatch.setattr(experiment, "run_scheduler", no_work)
-        monkeypatch.setattr(experiment, "simulate", no_work)
+    def test_no_connections_refused_before_any_work(self):
+        # no row of such a spec has a PDR; the spec cannot be built
+        spec = parse_scenario(SMALL)
         with pytest.raises(ScenarioError, match="^scenario defines no connections$"):
-            run_experiment(spec)
+            spec.replace(requests=())
 
-    def test_no_seeds_refused_before_any_work(self, monkeypatch):
+    def test_no_seeds_refused_before_any_work(self):
         # every row's aggregate needs at least one seed
-        spec = parse_scenario(SMALL).replace(seeds=())
-        monkeypatch.setattr(experiment, "run_scheduler", no_work)
-        monkeypatch.setattr(experiment, "simulate", no_work)
+        spec = parse_scenario(SMALL)
         with pytest.raises(ScenarioError, match="^scenario defines no seeds$"):
-            run_experiment(spec)
+            spec.replace(seeds=())
 
     @pytest.mark.parametrize(
         "field, value, message",
         [
             # the parser refuses each of these; a library caller's spec
-            # is refused the same way, before any work
+            # is refused the same way, when it is built
             ("seeds", ("mean",), "seed must be an int, got 'mean'"),
             ("seeds", (7.0,), "seed must be an int, got 7.0"),
             ("seeds", (True,), "seed must be an int, got True"),
@@ -208,16 +204,12 @@ class TestRunExperiment:
              "unknown-scheduler", "no-schedulers", "repeated-scheduler"],
     )
     def test_bad_seeds_and_schedulers_refused_before_any_work(
-        self, monkeypatch, field, value, message
+        self, field, value, message
     ):
-        spec = parse_scenario(SMALL).replace(**{field: value})
-        for name in ("run_scheduler", "tsgs_schedule", "exhaustive_schedule",
-                     "random_schedule", "simulate"):
-            monkeypatch.setattr(experiment, name, no_work)
-        for check in (experiment.check_run_size, run_experiment):
-            with pytest.raises(ScenarioError) as info:
-                check(spec)
-            assert str(info.value) == message
+        spec = parse_scenario(SMALL)
+        with pytest.raises(ScenarioError) as info:
+            spec.replace(**{field: value})
+        assert str(info.value) == message
 
     def test_unknown_scheduler_name(self):
         requests = parse_scenario(SMALL).requests

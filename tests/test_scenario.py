@@ -388,6 +388,22 @@ class TestErrors:
         with pytest.raises(OSError):
             load_scenario("/nonexistent/path.scn")
 
+    @pytest.mark.parametrize(
+        "data, line, byte",
+        [
+            (b"format txsched/1\n# caf\xe9\n", 2, "0xe9"),
+            (b"format txsched/1\r\n\r\nseeds 1 \xff\n", 3, "0xff"),
+            (b"\xe9", 1, "0xe9"),
+        ],
+        ids=["comment", "crlf", "first-byte"],
+    )
+    def test_non_utf8_file_names_its_line(self, tmp_path, data, line, byte):
+        path = tmp_path / "latin1.scn"
+        path.write_bytes(data)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == f"{path}:{line}: byte {byte} is not UTF-8 text"
+
     def test_error_is_value_error(self):
         assert issubclass(ScenarioError, ValueError)
 

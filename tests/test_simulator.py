@@ -302,6 +302,38 @@ class TestSpacedTrains:
         )
 
 
+class TestLockStep:
+    @PROPERTY
+    @given(
+        channel_runs(max_start_slot=6, max_packets=8, lockstep=True),
+        st.integers(0, 9),
+    )
+    def test_phase_locked_trains_collide_without_backoff(self, run, overhead):
+        # every train has one airtime a and starts on a multiple of
+        # P = aifs + a, so every round begins on an idle channel: trains
+        # that meet sense, wait out the AIFS and collide together, and
+        # nobody ever defers; the overhead plays no part in a run
+        requests, schedule, channel, seed = run
+        requests = [r.replace(per_packet_overhead=overhead) for r in requests]
+        period = channel.aifs + requests[0].packet_airtime
+        rounds = [
+            range(start // period, start // period + r.packet_count)
+            for start, r in zip(schedule.starts, requests)
+        ]
+        # a round collides when any other train occupies it too
+        shared = [
+            sum(any(k in other for other in rounds[:i] + rounds[i + 1:]) for k in own)
+            for i, own in enumerate(rounds)
+        ]
+        for run_seed in (seed, seed + 1):
+            report = simulate(requests, schedule, channel, run_seed)
+            assert report.backoff_activations == 0
+            assert [c.collided for c in report.per_connection] == shared
+            for c, r in zip(report.per_connection, requests):
+                assert c.delay_total_us == 0
+                assert c.realized_duration_us == r.packet_count * period
+
+
 @pytest.fixture
 def heap_pops(monkeypatch):
     """One entry per event the simulator pops. More than 10,000 pops
