@@ -148,6 +148,14 @@ class Schedule(_Record):
     __slots__ = ("starts",)
     starts: tuple[TimePoint, ...]
 
+    def _check(self) -> None:
+        if type(self.starts) is not tuple:
+            raise ValueError(f"starts must be a tuple, got {type(self.starts).__name__}")
+        for start in self.starts:
+            _check_int("scheduled start", start)
+            if start < 0:
+                raise ValueError(f"scheduled start must be >= 0, got {start}")
+
 
 def compute_duration(request: TransmissionRequest) -> TimeSpan:
     """Nominal duration of the packet train: count * (airtime + overhead).
@@ -189,7 +197,10 @@ def _check_int(name: str, value) -> None:
 def _check_counts(
     schedule: Schedule, requests: list[TransmissionRequest] | tuple
 ) -> None:
-    """Raise ``ValueError`` unless ``schedule`` has one start per request."""
+    """Raise ``ValueError`` unless ``schedule`` is a `Schedule`, whose
+    starts its constructor checked, with one start per request."""
+    if type(schedule) is not Schedule:
+        raise ValueError(f"schedule must be a Schedule, got {type(schedule).__name__}")
     if len(schedule.starts) != len(requests):
         raise ValueError(
             f"schedule has {len(schedule.starts)} starts for {len(requests)} requests"
@@ -205,15 +216,11 @@ def total_cost(schedule: Schedule, requests: list[TransmissionRequest] | tuple) 
     k(k - 1), taken in one sweep over the sorted endpoints.
 
     Raises:
-        ValueError: schedule and request counts differ, or a start is not
-            an int or is negative.
+        ValueError: ``schedule`` is not a `Schedule` with one start per request.
     """
     _check_counts(schedule, requests)
     steps: dict[TimePoint, int] = {}
     for start, req in zip(schedule.starts, requests):
-        _check_int("interval start", start)
-        if start < 0:
-            raise ValueError(f"interval start must be >= 0, got {start}")
         end = start + compute_duration(req)
         steps[start] = steps.get(start, 0) + 1
         steps[end] = steps.get(end, 0) - 1
@@ -230,15 +237,13 @@ def feasible(
     requests: list[TransmissionRequest] | tuple,
     margin: TimeSpan = 0,
 ) -> bool:
-    """True iff every start is >= 0 and start + duration + margin <= deadline.
+    """True iff start + duration + margin <= deadline for every connection.
 
     Raises:
-        ValueError: schedule and request counts differ, or a start is not
-            an int.
+        ValueError: ``schedule`` is not a `Schedule` with one start per request.
     """
     _check_counts(schedule, requests)
     for start, req in zip(schedule.starts, requests):
-        _check_int("scheduled start", start)
-        if start < 0 or start + compute_duration(req) + margin > req.deadline:
+        if start + compute_duration(req) + margin > req.deadline:
             return False
     return True

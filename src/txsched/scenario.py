@@ -78,7 +78,8 @@ class WindowSweep(_Record):
 
 class ScenarioSpec(_Record):
     """A fully validated experiment description; the constructor applies
-    the parser's rules, and messages, to connections, seeds and schedulers."""
+    the parser's rules, and messages, to connections, seeds and schedulers,
+    and `window`'s admissibility rule to every request under the margin."""
 
     __slots__ = ("requests", "schedulers", "scheduler_config", "channel",
                  "seeds", "sweep")
@@ -100,6 +101,8 @@ class ScenarioSpec(_Record):
         seen = set()
         for name in self.schedulers:
             _add_scheduler(name, seen)
+        for request in self.requests:
+            window(request, self.scheduler_config.margin)
 
 
 # the rules that make a spec runnable, one function each; ScenarioSpec and
@@ -333,7 +336,9 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
         OSError: the file cannot be read.
     """
     path = Path(path)
-    data = path.read_bytes()
+    # a leading UTF-8 byte-order mark, as some editors write, is not text;
+    # stripped here, not by 'utf-8-sig', so error offsets stay in the data
+    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

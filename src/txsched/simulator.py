@@ -597,14 +597,9 @@ def simulate(
     memo, and the checks run before the lookup.
 
     Raises:
-        ValueError: schedule and request counts differ, or a start is
-            not an int or is negative.
+        ValueError: ``schedule`` is not a `Schedule` with one start per request.
     """
     _check_counts(schedule, requests)
-    for start in schedule.starts:
-        _check_int("scheduled start", start)
-        if start < 0:
-            raise ValueError(f"scheduled start must be >= 0, got {start}")
     runs = None
     if memo is not None and trace is None:
         # the trains and channel are shared by every call of an experiment,

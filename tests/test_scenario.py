@@ -113,6 +113,12 @@ class TestBundledScenario:
     def test_name_with_extension_also_resolves(self):
         assert resolve_scenario("table2.scn").read_text().startswith("#")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        table2 = resolve_scenario("table2")
+        path = tmp_path / "bom.scn"
+        path.write_bytes(b"\xef\xbb\xbf" + table2.read_bytes())
+        assert load_scenario(path) == load_scenario(table2)
+
 
 class TestParsing:
     def test_minimal_scenario(self):
@@ -394,8 +400,10 @@ class TestErrors:
             (b"format txsched/1\n# caf\xe9\n", 2, "0xe9"),
             (b"format txsched/1\r\n\r\nseeds 1 \xff\n", 3, "0xff"),
             (b"\xe9", 1, "0xe9"),
+            # utf-8-sig would report offsets past the mark and the wrong byte
+            (b"\xef\xbb\xbfformat txsched/1\n\n# caf\xe9\n", 3, "0xe9"),
         ],
-        ids=["comment", "crlf", "first-byte"],
+        ids=["comment", "crlf", "first-byte", "byte-order-mark"],
     )
     def test_non_utf8_file_names_its_line(self, tmp_path, data, line, byte):
         path = tmp_path / "latin1.scn"

@@ -4,7 +4,7 @@ import tracemalloc
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from strategies import channel_runs, spaced_runs
 
@@ -333,6 +333,39 @@ class TestLockStep:
                 assert c.delay_total_us == 0
                 assert c.realized_duration_us == r.packet_count * period
 
+    @PROPERTY
+    @given(
+        st.integers(1, 4), st.integers(0, 9), st.integers(1, 6),
+        st.sampled_from((0.0, 0.3)), st.data(),
+    )
+    def test_off_phase_start_inside_a_train_draws_a_backoff(
+        self, slot, aifs, cw, loss, data
+    ):
+        # the converse: a second train that starts off the period P and
+        # inside the first train's span senses it busy, or has its AIFS
+        # cut by the first train's next packet, whatever the seed
+        airtime = slot * data.draw(st.integers(1, 4))
+        period = aifs + airtime
+        assume(period > 1)
+        first = data.draw(st.integers(1, 8))
+        start = data.draw(st.integers(0, 50))
+        lag = period * data.draw(st.integers(0, first - 1)) + data.draw(
+            st.integers(1, period - 1)
+        )
+        trains = [(start, first), (start + lag, data.draw(st.integers(1, 8)))]
+        if data.draw(st.booleans()):
+            trains.reverse()
+        requests = [
+            TransmissionRequest(i, 10**6, packets, airtime, aifs)
+            for i, (_, packets) in enumerate(trains)
+        ]
+        schedule = Schedule(tuple(s for s, _ in trains))
+        channel = ChannelConfig(slot, aifs, cw, loss)
+        seed = data.draw(st.integers(0, 2**16))
+        for run_seed in (seed, seed + 1):
+            report = simulate(requests, schedule, channel, run_seed)
+            assert report.backoff_activations >= 1
+
 
 @pytest.fixture
 def heap_pops(monkeypatch):
@@ -655,12 +688,17 @@ class TestMemo:
         assert memo == before
 
     def test_checks_run_before_the_lookup(self):
-        # 0.0 == 0 and hashes alike, so a lookup first would answer it
+        # a look-alike of a filed schedule would be answered by a lookup
+        # first, and one holding a list would raise TypeError there
         memo = {}
         simulate(train(1), Schedule((0,)), ChannelConfig(), seed=1, memo=memo)
-        with pytest.raises(ValueError) as info:
-            simulate(train(1), Schedule((0.0,)), ChannelConfig(), seed=1, memo=memo)
-        assert str(info.value) == "scheduled start must be an int, got 0.0"
+        for starts in ((0,), [0], (0.0,)):
+            with pytest.raises(ValueError) as info:
+                simulate(
+                    train(1), SimpleNamespace(starts=starts), ChannelConfig(),
+                    seed=1, memo=memo,
+                )
+            assert str(info.value) == "schedule must be a Schedule, got SimpleNamespace"
         with pytest.raises(ValueError) as info:
             simulate(train(1), Schedule((0, 0)), ChannelConfig(), seed=1, memo=memo)
         assert str(info.value) == "schedule has 2 starts for 1 requests"
