@@ -157,7 +157,7 @@ def _cmd_trace(args, spec: ScenarioSpec) -> int:
         args.scheduler, requests, spec.scheduler_config, args.seed
     )
     trace: list[str] = []
-    simulate(list(requests), result.schedule, spec.channel, args.seed, trace=trace)
+    simulate(requests, result.schedule, spec.channel, args.seed, trace=trace)
     text = "\n".join(trace) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

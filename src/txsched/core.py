@@ -128,18 +128,11 @@ class TransmissionRequest(_Record):
     def _check(self) -> None:
         for name in self.__slots__:
             _check_int(name, getattr(self, name))
-        if self.id < 0:
-            raise ValueError(f"connection id must be >= 0, got {self.id}")
-        if self.deadline < 0:
-            raise ValueError(f"deadline must be >= 0, got {self.deadline}")
-        if self.packet_count < 1:
-            raise ValueError(f"packet_count must be >= 1, got {self.packet_count}")
-        if self.packet_airtime <= 0:
-            raise ValueError(f"packet_airtime must be > 0, got {self.packet_airtime}")
-        if self.per_packet_overhead < 0:
-            raise ValueError(
-                f"per_packet_overhead must be >= 0, got {self.per_packet_overhead}"
-            )
+        _check_bound("connection id", self.id, ">=", 0)
+        _check_bound("deadline", self.deadline, ">=", 0)
+        _check_bound("packet_count", self.packet_count, ">=", 1)
+        _check_bound("packet_airtime", self.packet_airtime, ">", 0)
+        _check_bound("per_packet_overhead", self.per_packet_overhead, ">=", 0)
 
 
 class Schedule(_Record):
@@ -149,12 +142,10 @@ class Schedule(_Record):
     starts: tuple[TimePoint, ...]
 
     def _check(self) -> None:
-        if type(self.starts) is not tuple:
-            raise ValueError(f"starts must be a tuple, got {type(self.starts).__name__}")
+        _check_type("starts", self.starts, tuple)
         for start in self.starts:
             _check_int("scheduled start", start)
-            if start < 0:
-                raise ValueError(f"scheduled start must be >= 0, got {start}")
+            _check_bound("scheduled start", start, ">=", 0)
 
 
 def compute_duration(request: TransmissionRequest) -> TimeSpan:
@@ -186,12 +177,25 @@ def window(request: TransmissionRequest, margin: TimeSpan = 0) -> TimeSpan:
     return request.deadline - d - margin
 
 
-def _check_int(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is an int: every time is a
-    whole microsecond, and a float or a bool would pass the range checks
-    and corrupt the integer arithmetic behind them."""
+def _check_int(name: str, value, error=ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an int: every time is a whole
+    microsecond, and a float or a bool would pass the range checks and
+    corrupt the integer arithmetic behind them."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise error(f"{name} must be an int, got {value!r}")
+
+
+def _check_type(name: str, value, kind: type, error=ValueError) -> None:
+    """Raise ``error`` unless ``value``'s type is exactly ``kind``."""
+    if type(value) is not kind:
+        raise error(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
+def _check_bound(name: str, value: int, op: str, bound: int) -> None:
+    """Raise ``ValueError`` unless ``value op bound`` holds, ``op`` being
+    ``">="`` or ``">"``; the message states the rule as written."""
+    if value < bound or (op == ">" and value == bound):
+        raise ValueError(f"{name} must be {op} {bound}, got {value}")
 
 
 def _check_counts(
@@ -199,8 +203,7 @@ def _check_counts(
 ) -> None:
     """Raise ``ValueError`` unless ``schedule`` is a `Schedule`, whose
     starts its constructor checked, with one start per request."""
-    if type(schedule) is not Schedule:
-        raise ValueError(f"schedule must be a Schedule, got {type(schedule).__name__}")
+    _check_type("schedule", schedule, Schedule)
     if len(schedule.starts) != len(requests):
         raise ValueError(
             f"schedule has {len(schedule.starts)} starts for {len(requests)} requests"

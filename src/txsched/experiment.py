@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .core import TransmissionRequest, _Record, compute_duration
+from .core import TransmissionRequest, _check_bound, _Record, compute_duration
 from .scenario import ScenarioError, ScenarioSpec
 from .schedulers import (
     ScheduleResult,
@@ -28,7 +28,7 @@ from .schedulers import (
     random_schedule,
     tsgs_schedule,
 )
-from .simulator import simulate
+from .simulator import _kept, simulate
 
 NATIVE_WINDOW = -1
 
@@ -87,8 +87,7 @@ def rescale_requests(
     Raises:
         ValueError: the window is negative.
     """
-    if window_us < 0:
-        raise ValueError(f"window must be >= 0, got {window_us}")
+    _check_bound("window", window_us, ">=", 0)
     return tuple(
         req.replace(deadline=window_us + compute_duration(req) + config.margin)
         for req in requests
@@ -97,17 +96,17 @@ def rescale_requests(
 
 def run_scheduler(
     name: str,
-    requests: tuple[TransmissionRequest, ...],
+    requests: list[TransmissionRequest] | tuple,
     config: SchedulerConfig,
     seed: int,
 ) -> ScheduleResult:
     """Dispatch one named strategy; `seed` only matters for 'random'."""
     if name == "tsgs":
-        return tsgs_schedule(list(requests), config)
+        return tsgs_schedule(requests, config)
     if name == "exhaustive":
-        return exhaustive_schedule(list(requests), config)
+        return exhaustive_schedule(requests, config)
     if name == "random":
-        return random_schedule(list(requests), config, seed)
+        return random_schedule(requests, config, seed)
     raise ValueError(f"unknown scheduler {name!r}")
 
 
@@ -167,8 +166,8 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
     rows: list[SweepRow] = []
     memo: dict = {}  # simulate's, for this call only
     # id(report) -> (report, pdr, collided, received, mean delay); holding
-    # the report keeps its id from being reused within this call. Only
-    # late-free reports are filed: simulate's memo returns no other again.
+    # the report keeps its id from being reused within this call. Only the
+    # reports simulate's memo keeps are filed: it returns no other again.
     made: dict[int, tuple] = {}
     for window_us in points:
         if window_us == NATIVE_WINDOW:
@@ -177,19 +176,18 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
             requests = rescale_requests(
                 spec.requests, window_us, spec.scheduler_config
             )
-        listed = list(requests)
         for name in sorted(spec.schedulers):
             group: list[SweepRow] = []
             for seed in seeds:
                 if name == "random" or not group:
                     result = run_scheduler(name, requests, spec.scheduler_config, seed)
                 report = simulate(
-                    listed, result.schedule, spec.channel, seed, memo=memo
+                    requests, result.schedule, spec.channel, seed, memo=memo
                 )
                 values = made.get(id(report))
                 if values is None:
                     values = (report, *_report_values(report))
-                    if not any(c.delivered_late for c in report.per_connection):
+                    if _kept(report):
                         made[id(report)] = values
                 _, pdr, collided, received, delay = values
                 group.append(

@@ -30,7 +30,9 @@ from pathlib import Path
 from .core import (
     TimeSpan,
     TransmissionRequest,
+    _check_bound,
     _check_int,
+    _check_type,
     _Record,
     window,
 )
@@ -59,10 +61,8 @@ class WindowSweep(_Record):
     def _check(self) -> None:
         for name in self.__slots__:
             _check_int(f"sweep {name}", getattr(self, name))
-        if self.step <= 0:
-            raise ValueError(f"sweep step must be > 0, got {self.step}")
-        if self.start < 0:
-            raise ValueError(f"sweep start must be >= 0, got {self.start}")
+        _check_bound("sweep step", self.step, ">", 0)
+        _check_bound("sweep start", self.start, ">=", 0)
         if self.stop < self.start:
             raise ValueError(f"sweep stop {self.stop} is below start {self.start}")
 
@@ -77,9 +77,14 @@ class WindowSweep(_Record):
 
 
 class ScenarioSpec(_Record):
-    """A fully validated experiment description; the constructor applies
-    the parser's rules, and messages, to connections, seeds and schedulers,
-    and `window`'s admissibility rule to every request under the margin."""
+    """A fully validated experiment description. The constructor first
+    checks each field's type as `Schedule` does: ``requests``,
+    ``schedulers`` and ``seeds`` are tuples, each request a
+    `TransmissionRequest`, the configs a `SchedulerConfig` and a
+    `ChannelConfig`, and ``sweep`` None or a `WindowSweep`. It then
+    applies the parser's rules, and messages, to connections, seeds and
+    schedulers, and `window`'s admissibility rule to every request under
+    the margin."""
 
     __slots__ = ("requests", "schedulers", "scheduler_config", "channel",
                  "seeds", "sweep")
@@ -92,6 +97,15 @@ class ScenarioSpec(_Record):
     sweep: WindowSweep | None
 
     def _check(self) -> None:
+        for name in ("requests", "schedulers", "seeds"):
+            _check_type(name, getattr(self, name), tuple, ScenarioError)
+        for request in self.requests:
+            _check_type("request", request, TransmissionRequest, ScenarioError)
+        config = self.scheduler_config
+        _check_type("scheduler_config", config, SchedulerConfig, ScenarioError)
+        _check_type("channel", self.channel, ChannelConfig, ScenarioError)
+        if self.sweep is not None:
+            _check_type("sweep", self.sweep, WindowSweep, ScenarioError)
         _need(self.requests, "connections")
         _need(self.seeds, "seeds")
         seen: set = set()
@@ -102,7 +116,7 @@ class ScenarioSpec(_Record):
         for name in self.schedulers:
             _add_scheduler(name, seen)
         for request in self.requests:
-            window(request, self.scheduler_config.margin)
+            window(request, config.margin)
 
 
 # the rules that make a spec runnable, one function each; ScenarioSpec and
@@ -116,8 +130,7 @@ def _need(items, what: str) -> None:
 
 def _add_seed(seed, seen: set) -> None:
     """Refuse a seed that is not an int or is in `seen`; else add it."""
-    if type(seed) is not int:
-        raise ScenarioError(f"seed must be an int, got {seed!r}")
+    _check_int("seed", seed, ScenarioError)
     if seed in seen:
         raise ScenarioError(f"seed {seed} listed twice")
     seen.add(seed)
@@ -220,8 +233,7 @@ def _build(source: str, lineno: int, what: str | None, make, *args, **kwargs):
 
 def _channel(airtime: TimeSpan = DEFAULT_AIRTIME, **config) -> tuple[ChannelConfig, int]:
     """The channel line's config and default airtime; no keys for no line."""
-    if airtime <= 0:
-        raise ValueError(f"airtime must be > 0, got {airtime}")
+    _check_bound("airtime", airtime, ">", 0)
     if "ambient_loss" in config:
         config["ambient_loss_rate"] = config.pop("ambient_loss")
     return ChannelConfig(**config), airtime

@@ -64,6 +64,7 @@ from .core import (
     TimePoint,
     TimeSpan,
     TransmissionRequest,
+    _check_bound,
     _check_int,
     _Record,
     compute_duration,
@@ -106,10 +107,8 @@ class SchedulerConfig(_Record):
     def _check(self) -> None:
         for name in ("step", "margin"):
             _check_int(name, getattr(self, name))
-        if self.step <= 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
-        if self.margin < 0:
-            raise ValueError(f"margin must be >= 0, got {self.margin}")
+        _check_bound("step", self.step, ">", 0)
+        _check_bound("margin", self.margin, ">=", 0)
         if self.ordering not in ORDERINGS:
             raise ValueError(
                 f"ordering must be one of {ORDERINGS}, got {self.ordering!r}"
@@ -134,7 +133,8 @@ class ScheduleResult(_Record):
 
 
 def _result(
-    starts: list[TimePoint], requests: list[TransmissionRequest], evaluations: int
+    starts: list[TimePoint], requests: list[TransmissionRequest] | tuple,
+    evaluations: int,
 ) -> ScheduleResult:
     # total_cost is looked up in this module's globals at each call, so a
     # caller that swaps schedulers.total_cost sees every scheduler's call
@@ -156,7 +156,7 @@ def _grid_size(last: TimePoint, step: TimeSpan) -> int:
 
 
 def _processing_order(
-    requests: list[TransmissionRequest], config: SchedulerConfig
+    requests: list[TransmissionRequest] | tuple, config: SchedulerConfig
 ) -> list[int]:
     order = list(range(len(requests)))
     if config.ordering == "deadline-ascending":
@@ -264,7 +264,7 @@ def _merge(busy: list[TimePoint], a: TimePoint, b: TimePoint) -> None:
 
 
 def tsgs_schedule(
-    requests: list[TransmissionRequest], config: SchedulerConfig
+    requests: list[TransmissionRequest] | tuple, config: SchedulerConfig
 ) -> ScheduleResult:
     """Greedy search: place connections one at a time, never revisiting.
 
@@ -329,7 +329,7 @@ def _assignments(grids: list[range]) -> int:
 
 
 def exhaustive_schedule(
-    requests: list[TransmissionRequest], config: SchedulerConfig
+    requests: list[TransmissionRequest] | tuple, config: SchedulerConfig
 ) -> ScheduleResult:
     """Enumerate every grid assignment and return a global cost minimum.
 
@@ -422,13 +422,17 @@ def exhaustive_schedule(
 
 
 def random_schedule(
-    requests: list[TransmissionRequest], config: SchedulerConfig, seed: int
+    requests: list[TransmissionRequest] | tuple, config: SchedulerConfig, seed: int
 ) -> ScheduleResult:
     """Draw each start independently and uniformly from its grid.
 
     Deterministic for a given seed; feasible by grid construction. Each
     draw picks a grid index, and the start is that index times the step.
+
+    Raises:
+        ValueError: ``seed`` is not an int.
     """
+    _check_int("seed", seed)
     rng = random.Random(seed)
     step, margin = config.step, config.margin
     starts = [

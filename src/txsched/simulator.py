@@ -116,8 +116,8 @@ import random
 from operator import attrgetter
 
 from .core import (
-    Schedule, TimePoint, TimeSpan, TransmissionRequest, _check_counts, _check_int,
-    _Record,
+    Schedule, TimePoint, TimeSpan, TransmissionRequest, _check_bound, _check_counts,
+    _check_int, _Record,
 )
 
 # Same-instant resolution order. Endings free the channel before anyone
@@ -153,16 +153,16 @@ class ChannelConfig(_Record):
     def _check(self) -> None:
         for name in ("slot_time", "aifs", "cw"):
             _check_int(name, getattr(self, name))
-        if self.slot_time <= 0:
-            raise ValueError(f"slot_time must be > 0, got {self.slot_time}")
-        if self.aifs < 0:
-            raise ValueError(f"aifs must be >= 0, got {self.aifs}")
-        if self.cw < 1:
-            raise ValueError(f"cw must be >= 1, got {self.cw}")
-        if not 0.0 <= self.ambient_loss_rate <= 1.0:
+        loss = self.ambient_loss_rate
+        if type(loss) not in (int, float):  # a bool would pass the range check
             raise ValueError(
-                f"ambient_loss_rate must be in [0, 1], got {self.ambient_loss_rate}"
+                f"ambient_loss_rate must be an int or a float, got {loss!r}"
             )
+        _check_bound("slot_time", self.slot_time, ">", 0)
+        _check_bound("aifs", self.aifs, ">=", 0)
+        _check_bound("cw", self.cw, ">=", 1)
+        if not 0.0 <= loss <= 1.0:
+            raise ValueError(f"ambient_loss_rate must be in [0, 1], got {loss}")
 
 
 class SenderState:
@@ -176,11 +176,12 @@ class SenderState:
     a trace: without one a deferred sender stays "backoff-wait-idle", and
     only a commit reads the phase. ``backoff_target`` is the
     channel clock reading at which its countdown reaches zero, fixed from
-    the draw to the commit.
+    the draw to the commit. ``count`` is the train's packet count, kept
+    once: the packets left are ``count - sent``.
     """
 
     __slots__ = (
-        "scheduled_start", "airtime", "deadline", "packets_remaining",
+        "scheduled_start", "airtime", "deadline", "count",
         "phase", "backoff_target", "current_collided",
         # outcome counters
         "sent", "received", "collided", "ambient_lost", "delivered_late",
@@ -193,7 +194,7 @@ class SenderState:
         self.scheduled_start = scheduled_start
         self.airtime = request.packet_airtime
         self.deadline = request.deadline
-        self.packets_remaining = request.packet_count
+        self.count = request.packet_count
         self.phase = "idle-until-start"
         self.backoff_target = 0
         self.current_collided = False
@@ -377,7 +378,7 @@ def _run(
                     # the packets before the last one to end by the next
                     # queued event, in one step (see the docstring)
                     period = aifs + s.airtime
-                    batch = s.packets_remaining - 1
+                    batch = s.count - s.sent - 1
                     if heap:
                         batch = min(batch, (heap[0][0] - now) // period - 1)
                     if batch > 0:
@@ -395,7 +396,6 @@ def _run(
                         s.ambient_lost += len(lost_at)
                         s.delivered_late += late
                         s.delay_total_us += batch * lag
-                        s.packets_remaining -= batch
                         now += batch * period
                         end += batch * period
                     s.current_collided = False
@@ -419,7 +419,6 @@ def _run(
                 nominal_end = s.scheduled_start + s.sent * (aifs + s.airtime)
                 s.delay_total_us += now - nominal_end
                 s.last_tx_end = now
-                s.packets_remaining -= 1
                 if not active and deferred:
                     # idle edge: every deferred sender restarts its AIFS now,
                     # and the holders of the least target commit first
@@ -437,7 +436,7 @@ def _run(
                             if other.backoff_target != clock:
                                 mark = (now + aifs, _PRIO_DECISION, p, _COUNTDOWN_MARK)
                                 push(timers, mark)
-                if s.packets_remaining == 0:
+                if s.sent == s.count:
                     if trace is not None:
                         trace.append(f"{now} c{pos} transmitting->done")
                     break
@@ -459,7 +458,7 @@ def _run(
             a = group[0].airtime
             if all(m.airtime == a for m in group):
                 period = aifs + a
-                rounds = min(m.packets_remaining for m in group) - 1
+                rounds = min(m.count - m.sent for m in group) - 1
                 if heap:
                     rounds = min(rounds, (heap[0][0] - now - 1) // period)
                 for m in group:
@@ -467,7 +466,6 @@ def _run(
                     m.delay_total_us += rounds * lag
                     m.sent += rounds
                     m.collided += rounds
-                    m.packets_remaining -= rounds
                 if rounds > 0 and deferred:
                     # the first round's busy edge; the last round's then
                     # counts no slot from the end of the round before it
@@ -520,22 +518,16 @@ def _closed_starts(
     starts: tuple[TimePoint, ...], trains: tuple[tuple[int, int], ...], aifs: TimeSpan
 ) -> tuple[TimePoint, ...]:
     """The starts as `simulate`'s memo files them, with every idle gap
-    closed that a shift cannot change (see `simulate`). A packed schedule,
+    closed that a shift cannot change (see `simulate`): one walk in start
+    order, ties by position, that moves each train back to where every
+    earlier one ends and stops at the first overlap. A packed schedule,
     whose second train in start order overlaps the first, costs one sort
-    and one subtraction pass; the walk goes on only past closed gaps."""
-    if len(starts) < 2:
-        return (0,) * len(starts)
+    and one subtraction pass."""
     order = sorted(range(len(starts)), key=starts.__getitem__)
-    shift = starts[order[0]]
-    closed = [start - shift for start in starts]
-    count, airtime = trains[order[0]]
-    end = count * (aifs + airtime)  # where every train walked so far ends
-    if closed[order[1]] < end:
-        return tuple(closed)
-    gap = 0  # the idle gaps closed after the first train
-    for k in range(1, len(order)):
-        i = order[k]
-        start = closed[i] - gap
+    closed = list(starts)
+    end = gap = 0  # where every train walked so far ends; the gaps closed
+    for k, i in enumerate(order):
+        start = starts[i] - gap
         if start < end:
             for i in order[k:]:
                 closed[i] -= gap
@@ -548,7 +540,7 @@ def _closed_starts(
 
 
 def simulate(
-    requests: list[TransmissionRequest],
+    requests: list[TransmissionRequest] | tuple,
     schedule: Schedule,
     channel: ChannelConfig,
     seed: int,
@@ -597,9 +589,13 @@ def simulate(
     memo, and the checks run before the lookup.
 
     Raises:
-        ValueError: ``schedule`` is not a `Schedule` with one start per request.
+        ValueError: ``schedule`` is not a `Schedule` with one start per
+            request, or ``seed`` is not an int (None would seed the
+            generator from the operating system, so equal calls could
+            differ).
     """
     _check_counts(schedule, requests)
+    _check_int("seed", seed)
     runs = None
     if memo is not None and trace is None:
         # the trains and channel are shared by every call of an experiment,
@@ -632,8 +628,12 @@ def simulate(
         for s in senders
     )
     report = SimReport(stats, activations)
-    if runs is not None and not any(c.delivered_late for c in stats):
-        # a report that counts a late packet is never returned, so only
-        # late-free ones are kept
+    if runs is not None and _kept(report):
         runs[key] = report
     return report
+
+
+def _kept(report: SimReport) -> bool:
+    """Whether `simulate`'s memo keeps ``report``: only if it counts no
+    late packet, as a report that counts one is never returned."""
+    return not any(c.delivered_late for c in report.per_connection)

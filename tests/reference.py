@@ -302,3 +302,30 @@ class _Sim:
 def simulate(requests, schedule, channel, seed, trace=None) -> SimReport:
     """The per-slot event simulator; same contract as `txsched.simulate`."""
     return _Sim(requests, schedule, channel, seed, trace).run()
+
+
+# -- the memo's closing walk ------------------------------------------------
+
+
+def closed_starts(starts, trains, aifs) -> tuple[int, ...]:
+    """The starts with every idle gap closed that a shift cannot change, as
+    `txsched.simulate`'s docstring states the rule. ``trains[i]`` is
+    connection i's (packet_count, airtime); a train alone ends
+    packet_count * (aifs + airtime) after its start.
+
+    In start order, ties by position, the first train moves to 0. While
+    every earlier train has run alone, a train that starts at or after the
+    end of every earlier one moves back to that end. At the first train
+    that starts before that end the walk stops, and it and every later
+    train keep the shift reached."""
+    order = sorted(range(len(starts)), key=lambda i: (starts[i], i))
+    moved: dict[int, int] = {}  # position -> its closed start
+    shift = 0  # how far the trains walked so far moved back
+    for i in order:
+        ends = [moved[j] + trains[j][0] * (aifs + trains[j][1]) for j in moved]
+        end = max(ends, default=0)
+        if starts[i] - shift < end:
+            break
+        moved[i] = end
+        shift = starts[i] - end
+    return tuple(moved.get(i, start - shift) for i, start in enumerate(starts))

@@ -14,6 +14,7 @@ from txsched import (
     ComparisonSummary,
     ConnectionStats,
     InadmissibleRequestError,
+    ScenarioError,
     ScenarioSpec,
     Schedule,
     ScheduleResult,
@@ -510,6 +511,39 @@ TYPE_CHECKS = [
     (WindowSweep, {"step": True}, "sweep step must be an int, got True"),
     (ScenarioSpec, {"seeds": (3.0,)}, "seed must be an int, got 3.0"),
     (ScenarioSpec, {"seeds": (True,)}, "seed must be an int, got True"),
+    # a string raised TypeError from the range check, and a bool passed it
+    (
+        ChannelConfig,
+        {"ambient_loss_rate": "0.1"},
+        "ambient_loss_rate must be an int or a float, got '0.1'",
+    ),
+    (
+        ChannelConfig,
+        {"ambient_loss_rate": True},
+        "ambient_loss_rate must be an int or a float, got True",
+    ),
+    # a spec's fields, typed as a Schedule's starts are: a list built a
+    # spec that cannot hash, and a None or a tuple in a record's place
+    # built one that failed only when run
+    (
+        ScenarioSpec,
+        {"requests": list(_SPEC["requests"])},
+        "requests must be a tuple, got list",
+    ),
+    (ScenarioSpec, {"seeds": [3]}, "seeds must be a tuple, got list"),
+    (ScenarioSpec, {"schedulers": ["tsgs"]}, "schedulers must be a tuple, got list"),
+    (
+        ScenarioSpec,
+        {"requests": (1,)},
+        "request must be a TransmissionRequest, got int",
+    ),
+    (
+        ScenarioSpec,
+        {"scheduler_config": None},
+        "scheduler_config must be a SchedulerConfig, got NoneType",
+    ),
+    (ScenarioSpec, {"channel": None}, "channel must be a ChannelConfig, got NoneType"),
+    (ScenarioSpec, {"sweep": (1, 2, 3)}, "sweep must be a WindowSweep, got tuple"),
 ]
 
 
@@ -522,6 +556,14 @@ def test_type_check_message(cls, bad, message):
     with pytest.raises(ValueError) as info:
         cls(**{**_VALID[cls], **bad})
     assert str(info.value) == message
+
+
+def test_spec_type_refusals_are_scenario_errors():
+    # the CLI reports a ScenarioError as a fault of the scenario, exit 1
+    for cls, bad, message in TYPE_CHECKS:
+        if cls is ScenarioSpec:
+            with pytest.raises(ScenarioError, match=re.escape(message)):
+                ScenarioSpec(**{**_SPEC, **bad})
 
 
 def test_equal_fields_of_another_type_differ():

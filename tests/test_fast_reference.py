@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 import reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from strategies import channel_runs
 
@@ -374,6 +374,40 @@ def test_total_cost_equals_reference(spans):
     assert total_cost(schedule, requests) == reference.total_cost(schedule, requests)
 
 
+@st.composite
+def laid_trains(draw):
+    """Up to five trains laid one after another in a shuffled position
+    order, each where the one laid before it ends on air, some way after
+    that end, or some way before it down to the same start; with the AIFS,
+    the arguments of ``simulator._closed_starts``."""
+    aifs = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 5))
+    trains = tuple((draw(st.integers(1, 4)), draw(st.integers(1, 5))) for _ in range(n))
+    starts = [0] * n
+    at = draw(st.integers(0, 50))  # where the train laid last ends on air
+    length = 0  # that train's duration on air
+    for i in draw(st.permutations(range(n))):
+        before = st.integers(-length, -1) if length else st.just(0)
+        starts[i] = at + draw(st.one_of(st.just(0), st.integers(1, 30), before))
+        count, airtime = trains[i]
+        length = count * (aifs + airtime)
+        at = starts[i] + length
+    return tuple(starts), trains, aifs
+
+
+@PROPERTY
+@given(laid_trains())
+@example(((), (), 3))  # empty
+@example(((17,), ((2, 5),), 3))  # one train
+@example(((4, 9, 20), ((2, 5),) * 3, 3))  # packed: the second overlaps
+@example(((40, 0, 16), ((2, 5),) * 3, 3))  # spaced: one touches, one gaps
+@example(((30, 12, 12, 30), ((1, 1),) * 4, 2))  # tied starts, two pairs
+def test_closing_walk_equals_its_reference(case):
+    # the memo's key: a walk that closed one gap too many, or too few,
+    # would share a run between schedules that make different ones
+    assert simulator._closed_starts(*case) == reference.closed_starts(*case)
+
+
 def assert_simulate_equals_reference(requests, schedule, channel, seed):
     """Equal report and trace lines, and an untraced run equal too;
     return the trace."""
@@ -452,7 +486,7 @@ def lockstep_rises(monkeypatch):
             before = getattr(self, "collided", value)
             if value > before + 1:
                 rises.append(any(
-                    other.phase == "backoff-wait-idle" and other.packets_remaining
+                    other.phase == "backoff-wait-idle" and other.sent < other.count
                     for other in senders
                 ))
             slot.__set__(self, value)

@@ -293,6 +293,14 @@ class TestRandom:
         requests, config = random_instance(random.Random(3))
         assert random_schedule(requests, config, 5).candidate_evaluations == 0
 
+    @pytest.mark.parametrize("seed", (None, 1.5, "7", True), ids=repr)
+    def test_non_int_seed_refused(self, seed):
+        # None would seed from the operating system: two calls could differ
+        requests, config = random_instance(random.Random(3))
+        with pytest.raises(ValueError) as info:
+            random_schedule(requests, config, seed)
+        assert str(info.value) == f"seed must be an int, got {seed!r}"
+
 
 class TestAllStrategies:
     def test_outputs_feasible_and_cost_consistent(self):

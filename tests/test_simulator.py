@@ -775,6 +775,17 @@ class TestValidation:
             simulate(train(1), Schedule((23.5,)), ChannelConfig(), seed=1)
         assert str(info.value) == "scheduled start must be an int, got 23.5"
 
+    @pytest.mark.parametrize("seed", (None, 1.5, "7", True), ids=repr)
+    def test_non_int_seed_refused_before_the_memo(self, seed):
+        # None would seed from the operating system, so two calls would
+        # differ, and a memo would then return the first run for both
+        memo = {}
+        args = (train(2), Schedule((0, 10)), ChannelConfig(ambient_loss_rate=0.3))
+        with pytest.raises(ValueError) as info:
+            simulate(*args, seed=seed, memo=memo)
+        assert str(info.value) == f"seed must be an int, got {seed!r}"
+        assert memo == {}
+
     def test_channel_validation(self):
         with pytest.raises(ValueError):
             ChannelConfig(slot_time=0)
