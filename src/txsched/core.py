@@ -20,19 +20,61 @@ TimePoint = int
 TimeSpan = int
 
 
-class _Record:
+class _RecordType(type):
+    """Writes each `_Record` subclass from its annotations; see `_Record`."""
+
+    def __new__(mcls, name, bases, namespace):
+        if not bases:  # _Record itself
+            return super().__new__(mcls, name, bases, namespace)
+        # the annotations are read as names only, never evaluated
+        fields = tuple(namespace.get("__annotations__", ()))
+        if not fields:
+            raise TypeError(f"record {name} declares no annotated field")
+        defaults = {f: namespace.pop(f) for f in fields if f in namespace}
+        cls = super().__new__(mcls, name, bases, {**namespace, "__slots__": fields})
+        get = attrgetter(*fields)
+        if len(fields) == 1:
+            get_one = get
+
+            def get(record):
+                return (get_one(record),)
+
+        cls._fields = staticmethod(get)
+        if "__init__" in namespace:
+            return cls
+        parameters = ", ".join(
+            f"{name}=_defaults[{name!r}]" if name in defaults else name
+            for name in fields
+        )
+        lines = [f"    _set{i}(self, {name})" for i, name in enumerate(fields)]
+        if hasattr(cls, "_check"):
+            lines.append("    self._check()")
+        scope = {
+            f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(fields)
+        }
+        scope["_defaults"] = defaults
+        exec(f"def __init__(self, {parameters}):\n" + "\n".join(lines), scope)
+        init = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
+        return cls
+
+
+class _Record(metaclass=_RecordType):
     """Shared behaviour of the package's immutable value types.
 
-    A subclass declares its fields once, in ``__slots__``, in constructor
-    order. Trailing fields may take defaults from a ``_defaults`` dict of
-    field name to value. When the subclass is created, ``_Record`` writes
-    its ``__init__``: one parameter per field, each field stored through
-    its slot's member descriptor (``Cls.field.__set__``, bound once here),
-    then ``self._check()`` if the subclass defines one. ``_check`` reads
-    the fields and raises ``ValueError`` on a bad value. A subclass that
-    must convert a value before storing it (``ComparisonSummary`` keeps a
-    read-only copy of its dict) writes its own ``__init__``, setting each
-    field through ``object.__setattr__``.
+    A subclass declares its fields once, as class annotations in
+    constructor order, read as names and never evaluated; ``field: type =
+    value`` gives a field its default. Its metaclass makes the fields the
+    class's ``__slots__`` and writes its ``__init__``: one parameter per
+    field, each field stored through its slot's member descriptor
+    (``Cls.field.__set__``, bound once here), then ``self._check()`` if
+    the subclass defines one. A subclass with no annotated field raises
+    ``TypeError``. ``_check`` reads the fields and raises ``ValueError``
+    on a bad value. A subclass that must convert a value before storing
+    it (``ComparisonSummary`` keeps a read-only copy of its dict) writes
+    its own ``__init__``, setting each field through ``object.__setattr__``.
 
     The fields are read back together through one ``operator.attrgetter``
     per class, ``_fields``, which always gives a tuple. Records compare
@@ -43,37 +85,6 @@ class _Record:
     """
 
     __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        fields = cls.__slots__
-        get = attrgetter(*fields)
-        if len(fields) == 1:
-            get_one = get
-
-            def get(record):
-                return (get_one(record),)
-
-        cls._fields = staticmethod(get)
-        if "__init__" in cls.__dict__:
-            return
-        defaults = cls.__dict__.get("_defaults", {})
-        parameters = ", ".join(
-            f"{name}=_defaults[{name!r}]" if name in defaults else name
-            for name in fields
-        )
-        lines = [f"    _set{i}(self, {name})" for i, name in enumerate(fields)]
-        if hasattr(cls, "_check"):
-            lines.append("    self._check()")
-        namespace = {
-            f"_set{i}": cls.__dict__[name].__set__ for i, name in enumerate(fields)
-        }
-        namespace["_defaults"] = defaults
-        exec(f"def __init__(self, {parameters}):\n" + "\n".join(lines), namespace)
-        init = namespace["__init__"]
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        init.__module__ = cls.__module__
-        cls.__init__ = init
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -116,14 +127,11 @@ class TransmissionRequest(_Record):
     AIFS to make planned durations match uncontended on-air occupancy.
     """
 
-    __slots__ = ("id", "deadline", "packet_count", "packet_airtime",
-                 "per_packet_overhead")
-    _defaults = {"per_packet_overhead": 0}
     id: int
     deadline: TimePoint
     packet_count: int
     packet_airtime: TimeSpan
-    per_packet_overhead: TimeSpan
+    per_packet_overhead: TimeSpan = 0
 
     def _check(self) -> None:
         for name in self.__slots__:
@@ -138,7 +146,6 @@ class TransmissionRequest(_Record):
 class Schedule(_Record):
     """Assigned start-sending times, index i holding connection i's start."""
 
-    __slots__ = ("starts",)
     starts: tuple[TimePoint, ...]
 
     def _check(self) -> None:
@@ -198,16 +205,27 @@ def _check_bound(name: str, value: int, op: str, bound: int) -> None:
         raise ValueError(f"{name} must be {op} {bound}, got {value}")
 
 
+def _check_requests(requests, error=ValueError) -> None:
+    """Raise ``error`` unless every request is a `TransmissionRequest`."""
+    for request in requests:
+        # the type is tested here first, as every simulate, total_cost and
+        # scheduler call runs this; _check_type words the refusal
+        if type(request) is not TransmissionRequest:
+            _check_type("request", request, TransmissionRequest, error)
+
+
 def _check_counts(
     schedule: Schedule, requests: list[TransmissionRequest] | tuple
 ) -> None:
     """Raise ``ValueError`` unless ``schedule`` is a `Schedule`, whose
-    starts its constructor checked, with one start per request."""
+    starts its constructor checked, with one start per request, each a
+    `TransmissionRequest`."""
     _check_type("schedule", schedule, Schedule)
     if len(schedule.starts) != len(requests):
         raise ValueError(
             f"schedule has {len(schedule.starts)} starts for {len(requests)} requests"
         )
+    _check_requests(requests)
 
 
 def total_cost(schedule: Schedule, requests: list[TransmissionRequest] | tuple) -> TimeSpan:
@@ -219,7 +237,8 @@ def total_cost(schedule: Schedule, requests: list[TransmissionRequest] | tuple) 
     k(k - 1), taken in one sweep over the sorted endpoints.
 
     Raises:
-        ValueError: ``schedule`` is not a `Schedule` with one start per request.
+        ValueError: ``schedule`` is not a `Schedule` with one start per
+            request, each a `TransmissionRequest`.
     """
     _check_counts(schedule, requests)
     steps: dict[TimePoint, int] = {}
@@ -243,7 +262,8 @@ def feasible(
     """True iff start + duration + margin <= deadline for every connection.
 
     Raises:
-        ValueError: ``schedule`` is not a `Schedule` with one start per request.
+        ValueError: ``schedule`` is not a `Schedule` with one start per
+            request, each a `TransmissionRequest`.
     """
     _check_counts(schedule, requests)
     for start, req in zip(schedule.starts, requests):

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .core import TransmissionRequest, _check_bound, _Record, compute_duration
+from .core import (
+    TransmissionRequest, _check_bound, _check_int, _Record, compute_duration,
+)
 from .scenario import ScenarioError, ScenarioSpec
 from .schedulers import (
     ScheduleResult,
@@ -53,8 +55,6 @@ class SweepRow(_Record):
     ``received`` are per connection, in scenario order.
     """
 
-    __slots__ = ("window_us", "scheduler", "seed", "pdr", "cost_us",
-                 "candidate_evals", "collisions", "received", "mean_delay_us")
     window_us: int
     scheduler: str
     seed: int | str
@@ -69,7 +69,6 @@ class SweepRow(_Record):
 class SweepTable(_Record):
     """All rows of one experiment, plus the connection count for layout."""
 
-    __slots__ = ("connections", "rows")
     connections: int
     rows: tuple[SweepRow, ...]
 
@@ -85,8 +84,9 @@ def rescale_requests(
     """Copies whose deadlines give every connection exactly this window.
 
     Raises:
-        ValueError: the window is negative.
+        ValueError: the window is not an int or is negative.
     """
+    _check_int("window", window_us)
     _check_bound("window", window_us, ">=", 0)
     return tuple(
         req.replace(deadline=window_us + compute_duration(req) + config.margin)
@@ -306,7 +306,6 @@ class SchedulerSummary(_Record):
     """Across all seed rows of one scheduler: mean PDR, mean collided
     packets per run, and mean per-packet delay."""
 
-    __slots__ = ("mean_pdr", "mean_collided", "mean_delay_us")
     mean_pdr: float
     mean_collided: float
     mean_delay_us: float
@@ -338,7 +337,6 @@ class ComparisonSummary(_Record):
     ``per_scheduler`` is kept as a read-only dict, so the summary hashes.
     """
 
-    __slots__ = ("per_scheduler", "pdr_gap")
     per_scheduler: dict[str, SchedulerSummary]
     pdr_gap: float | None
 

@@ -32,6 +32,7 @@ from .core import (
     TransmissionRequest,
     _check_bound,
     _check_int,
+    _check_requests,
     _check_type,
     _Record,
     window,
@@ -53,7 +54,6 @@ class ScenarioError(ValueError):
 class WindowSweep(_Record):
     """Evenly spaced window sizes applied to every connection's deadline."""
 
-    __slots__ = ("start", "stop", "step")
     start: TimeSpan
     stop: TimeSpan
     step: TimeSpan
@@ -86,29 +86,28 @@ class ScenarioSpec(_Record):
     schedulers, and `window`'s admissibility rule to every request under
     the margin."""
 
-    __slots__ = ("requests", "schedulers", "scheduler_config", "channel",
-                 "seeds", "sweep")
-    _defaults = {"sweep": None}
     requests: tuple[TransmissionRequest, ...]
     schedulers: tuple[str, ...]
     scheduler_config: SchedulerConfig
     channel: ChannelConfig
     seeds: tuple[int, ...]
-    sweep: WindowSweep | None
+    sweep: WindowSweep | None = None
 
     def _check(self) -> None:
         for name in ("requests", "schedulers", "seeds"):
             _check_type(name, getattr(self, name), tuple, ScenarioError)
-        for request in self.requests:
-            _check_type("request", request, TransmissionRequest, ScenarioError)
+        _check_requests(self.requests, ScenarioError)
         config = self.scheduler_config
         _check_type("scheduler_config", config, SchedulerConfig, ScenarioError)
         _check_type("channel", self.channel, ChannelConfig, ScenarioError)
         if self.sweep is not None:
             _check_type("sweep", self.sweep, WindowSweep, ScenarioError)
         _need(self.requests, "connections")
-        _need(self.seeds, "seeds")
         seen: set = set()
+        for request in self.requests:
+            _add_id(request.id, seen)
+        _need(self.seeds, "seeds")
+        seen = set()
         for seed in self.seeds:
             _add_seed(seed, seen)
         _need(self.schedulers, "schedulers")
@@ -126,6 +125,13 @@ class ScenarioSpec(_Record):
 def _need(items, what: str) -> None:
     if not items:
         raise ScenarioError(f"scenario defines no {what}")
+
+
+def _add_id(conn_id: int, seen: set) -> None:
+    """Refuse a connection id in `seen`; else add it."""
+    if conn_id in seen:
+        raise ScenarioError(f"duplicate connection id {conn_id}")
+    seen.add(conn_id)
 
 
 def _add_seed(seed, seen: set) -> None:
@@ -272,9 +278,7 @@ def parse_scenario(text: str, source: str = "<string>") -> ScenarioSpec:
             if not args:
                 _fail(source, lineno, "connection needs an id")
             conn_id = _parse_int(source, lineno, "connection id", args[0])
-            if conn_id in seen_ids:
-                _fail(source, lineno, f"duplicate connection id {conn_id}")
-            seen_ids.add(conn_id)
+            _build(source, lineno, None, _add_id, conn_id, seen_ids)
             name = f"connection {conn_id}"
             fields = _fields(source, lineno, directive, args[1:], name)
             connections.append((conn_id, fields, lineno))

@@ -13,7 +13,9 @@ grid:
 
 Each connection's grid is {0, step, 2*step, ..., sigma*step} with
 sigma = floor(window / step), so every candidate finishes at least
-``margin`` before the deadline by construction.
+``margin`` before the deadline by construction. Each strategy first
+raises ``ValueError`` for a request that is not a `TransmissionRequest`
+or a config that is not a `SchedulerConfig`.
 
 tsgs keeps the union of the placed intervals as one sorted list of
 disjoint busy spans, merging each new placement in with two bisections
@@ -66,6 +68,8 @@ from .core import (
     TransmissionRequest,
     _check_bound,
     _check_int,
+    _check_requests,
+    _check_type,
     _Record,
     compute_duration,
     total_cost,
@@ -98,11 +102,9 @@ class SchedulerConfig(_Record):
     exhaustive and random treat connections symmetrically.
     """
 
-    __slots__ = ("step", "margin", "ordering")
-    _defaults = {"margin": 0, "ordering": "input-order"}
     step: TimeSpan
-    margin: TimeSpan
-    ordering: str
+    margin: TimeSpan = 0
+    ordering: str = "input-order"
 
     def _check(self) -> None:
         for name in ("step", "margin"):
@@ -126,7 +128,6 @@ class ScheduleResult(_Record):
     the count is not the work the prefix-integral scoring does.
     """
 
-    __slots__ = ("schedule", "cost", "candidate_evaluations")
     schedule: Schedule
     cost: TimeSpan
     candidate_evaluations: int
@@ -275,6 +276,8 @@ def tsgs_schedule(
     start that overlaps nothing is found by ``_first_fit``; only when no
     such start exists are candidates scored, by ``_least_overlap``.
     """
+    _check_requests(requests)
+    _check_type("config", config, SchedulerConfig)
     starts: list[TimePoint] = [0] * len(requests)
     placed: _Spans = []
     busy: list[TimePoint] = []  # the union of placed, see _first_fit
@@ -356,6 +359,8 @@ def exhaustive_schedule(
         InstanceTooLargeError: the product of grid sizes exceeds
             ``ENUMERATION_CAP``.
     """
+    _check_requests(requests)
+    _check_type("config", config, SchedulerConfig)
     grids = [candidate_grid(req, config) for req in requests]
     size = _assignments(grids)
     durations = [compute_duration(req) for req in requests]
@@ -430,8 +435,11 @@ def random_schedule(
     draw picks a grid index, and the start is that index times the step.
 
     Raises:
-        ValueError: ``seed`` is not an int.
+        ValueError: a request is not a `TransmissionRequest`, ``config``
+            is not a `SchedulerConfig`, or ``seed`` is not an int.
     """
+    _check_requests(requests)
+    _check_type("config", config, SchedulerConfig)
     _check_int("seed", seed)
     rng = random.Random(seed)
     step, margin = config.step, config.margin

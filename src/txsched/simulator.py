@@ -117,7 +117,7 @@ from operator import attrgetter
 
 from .core import (
     Schedule, TimePoint, TimeSpan, TransmissionRequest, _check_bound, _check_counts,
-    _check_int, _Record,
+    _check_int, _check_type, _Record,
 )
 
 # Same-instant resolution order. Endings free the channel before anyone
@@ -143,12 +143,10 @@ class ChannelConfig(_Record):
     non-collision loss source (fading, noise, distance).
     """
 
-    __slots__ = ("slot_time", "aifs", "cw", "ambient_loss_rate")
-    _defaults = {"slot_time": 13, "aifs": 58, "cw": 15, "ambient_loss_rate": 0.0}
-    slot_time: TimeSpan
-    aifs: TimeSpan
-    cw: int
-    ambient_loss_rate: float
+    slot_time: TimeSpan = 13
+    aifs: TimeSpan = 58
+    cw: int = 15
+    ambient_loss_rate: float = 0.0
 
     def _check(self) -> None:
         for name in ("slot_time", "aifs", "cw"):
@@ -220,8 +218,6 @@ class ConnectionStats(_Record):
     uncontended pace.
     """
 
-    __slots__ = ("sent", "received", "collided", "ambient_lost",
-                 "delivered_late", "delay_total_us", "realized_duration_us")
     sent: int
     received: int
     collided: int
@@ -234,7 +230,6 @@ class ConnectionStats(_Record):
 class SimReport(_Record):
     """Outcome of one simulation run; ``per_connection`` is in request order."""
 
-    __slots__ = ("per_connection", "backoff_activations")
     per_connection: tuple[ConnectionStats, ...]
     backoff_activations: int
 
@@ -590,11 +585,13 @@ def simulate(
 
     Raises:
         ValueError: ``schedule`` is not a `Schedule` with one start per
-            request, or ``seed`` is not an int (None would seed the
-            generator from the operating system, so equal calls could
-            differ).
+            request, a request is not a `TransmissionRequest`, ``channel``
+            is not a `ChannelConfig`, or ``seed`` is not an int (None
+            would seed the generator from the operating system, so equal
+            calls could differ).
     """
     _check_counts(schedule, requests)
+    _check_type("channel", channel, ChannelConfig)
     _check_int("seed", seed)
     runs = None
     if memo is not None and trace is None:

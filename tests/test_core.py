@@ -1,8 +1,10 @@
+import ast
 import copy
 import inspect
 import pickle
 import random
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -254,6 +256,31 @@ class TestValidation:
             call(SimpleNamespace(starts=(start, 1)), rs)
         assert str(err.value) == "schedule must be a Schedule, got SimpleNamespace"
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            total_cost,
+            feasible,
+            lambda schedule, rs: simulate(rs, schedule, ChannelConfig(), seed=1),
+        ],
+        ids=["total_cost", "feasible", "simulate"],
+    )
+    def test_look_alike_request_message(self, call):
+        # a look-alike's float airtime made a report of float counts
+        look_alike = SimpleNamespace(
+            id=1, deadline=1000, packet_count=2, packet_airtime=23.5,
+            per_packet_overhead=0,
+        )
+        with pytest.raises(ValueError) as err:
+            call(Schedule((0, 0)), [req(100), look_alike])
+        assert str(err.value) == (
+            "request must be a TransmissionRequest, got SimpleNamespace"
+        )
+        # the schedule is checked first, so its messages keep their order
+        with pytest.raises(ValueError) as err:
+            call(Schedule((0,)), [req(100), look_alike])
+        assert str(err.value) == "schedule has 1 starts for 2 requests"
+
     def test_interval_end(self):
         # [40, 100) ends where [100, 110) starts; one tick earlier they overlap
         rs = [req(1000, airtime=60), req(1000, airtime=10, id=1)]
@@ -359,8 +386,8 @@ class TestRecordSemantics:
         assert pickle.loads(pickle.dumps(record)) == record
 
 
-# the records whose constructor _Record writes from __slots__; exec gives
-# its code the file name "<string>"
+# the records whose constructor _Record writes from their annotations;
+# exec gives its code the file name "<string>"
 GENERATED = [r for r in RECORDS if r[0].__init__.__code__.co_filename == "<string>"]
 
 
@@ -408,6 +435,47 @@ def test_constructor_signature(cls, fields, change):
             cls()
     with pytest.raises(TypeError, match=f"^{name} got an unexpected keyword"):
         cls(**fields, no_such_field=1)
+
+
+def test_records_declare_fields_only_as_annotations():
+    # a second list of the fields, or of the defaults, could drift from the
+    # annotations that _Record reads
+    package = Path(txsched.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "_Record"
+                for base in node.bases
+            ):
+                for statement in node.body:
+                    if isinstance(statement, ast.Assign):
+                        targets = statement.targets
+                    elif isinstance(statement, ast.AnnAssign):
+                        targets = [statement.target]
+                    else:
+                        continue
+                    found += [
+                        f"{path.name}:{node.name}.{target.id}"
+                        for target in targets
+                        if isinstance(target, ast.Name)
+                        and target.id in ("__slots__", "_defaults")
+                    ]
+    assert found == []
+
+
+def test_record_without_annotated_fields_is_refused():
+    # a record whose fields the metaclass cannot see would build empty
+    with pytest.raises(TypeError) as info:
+        class Bare(_Record):
+            def _check(self):
+                pass
+    assert str(info.value) == "record Bare declares no annotated field"
+    with pytest.raises(TypeError) as info:
+        class Slotted(_Record):
+            __slots__ = ("start",)
+    assert str(info.value) == "record Slotted declares no annotated field"
+
 
 # every check a constructor makes, with one failing field and its full
 # message

@@ -78,6 +78,15 @@ class TestRescale:
         (rescaled,) = rescale_requests((request,), 1000, SchedulerConfig(step=10))
         assert rescaled.deadline == 1000 + 405 + 0
 
+    @pytest.mark.parametrize("window_us", (True, 2.5, None), ids=repr)
+    def test_non_int_window_refused(self, window_us):
+        # True built deadlines for a 1 us window, and 2.5 was refused for
+        # a deadline the caller never gave
+        request = TransmissionRequest(0, 100, 5, 23, 58)
+        with pytest.raises(ValueError) as info:
+            rescale_requests((request,), window_us, SchedulerConfig(step=10))
+        assert str(info.value) == f"window must be an int, got {window_us!r}"
+
 
 class TestRunExperiment:
     def test_row_accounting(self):

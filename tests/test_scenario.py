@@ -224,6 +224,22 @@ class TestErrors:
             line=3,
         )
 
+    def test_spec_refuses_duplicate_connection_ids(self):
+        # the parser's rule, kept by the spec too: the parser's message is
+        # unchanged, and a spec built by hand refuses what it refuses
+        text = MINIMAL.replace("connection 1 ", "connection 0 ")
+        with pytest.raises(ScenarioError) as err:
+            parse(text)
+        assert str(err.value) == "test.scn:3: duplicate connection id 0"
+        spec = parse(MINIMAL)
+        first = spec.requests[0]
+        with pytest.raises(ScenarioError) as err:
+            spec.replace(requests=(first, first))
+        assert str(err.value) == "duplicate connection id 0"
+        with pytest.raises(ScenarioError) as err:
+            spec.replace(requests=(first, spec.requests[1].replace(id=0)))
+        assert str(err.value) == "duplicate connection id 0"
+
     def test_missing_us_suffix(self):
         self.expect(
             "format txsched/1\n"

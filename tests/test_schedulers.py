@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -427,6 +428,35 @@ class TestConfigValidation:
     def test_unknown_ordering(self):
         with pytest.raises(ValueError):
             SchedulerConfig(step=10, ordering="by-vibes")
+
+    @pytest.mark.parametrize(
+        "scheduler",
+        (tsgs_schedule, exhaustive_schedule, lambda rs, c: random_schedule(rs, c, 1)),
+        ids=("tsgs", "exhaustive", "random"),
+    )
+    def test_each_scheduler_refuses_look_alike_inputs(self, scheduler):
+        # a None config raised AttributeError, and a look-alike request or
+        # config was scheduled as if it had been checked
+        rs = [req(200, 50, id=0), req(200, 50, id=1)]
+        config = SchedulerConfig(step=50)
+        look_alike_request = SimpleNamespace(
+            id=1, deadline=200, packet_count=1, packet_airtime=50,
+            per_packet_overhead=0,
+        )
+        look_alike_config = SimpleNamespace(step=50, margin=0, ordering="input-order")
+        cases = [
+            ((rs[:1] + [look_alike_request], config),
+             "request must be a TransmissionRequest, got SimpleNamespace"),
+            ((rs, None), "config must be a SchedulerConfig, got NoneType"),
+            ((rs, look_alike_config),
+             "config must be a SchedulerConfig, got SimpleNamespace"),
+        ]
+        for (requests, cfg), message in cases:
+            with pytest.raises(ValueError) as info:
+                scheduler(requests, cfg)
+            assert str(info.value) == message
+        # a list of requests stays accepted, and gives the tuple's result
+        assert scheduler(rs, config) == scheduler(tuple(rs), config)
 
     def test_inadmissible_request_propagates(self):
         rs = [req(100, 10, id=0)]

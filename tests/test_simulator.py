@@ -786,6 +786,27 @@ class TestValidation:
         assert str(info.value) == f"seed must be an int, got {seed!r}"
         assert memo == {}
 
+    def test_look_alike_channel_and_requests_refused_before_the_memo(self):
+        # a look-alike request made a report of float counts, and a None
+        # channel raised AttributeError
+        memo = {}
+        args = (train(2), Schedule((0, 10)))
+        simulate(*args, ChannelConfig(), seed=1, memo=memo)
+        before = repr(memo)
+        fields = dict(slot_time=13, aifs=58, cw=15, ambient_loss_rate=0.0)
+        for channel in (None, SimpleNamespace(**fields)):
+            with pytest.raises(ValueError) as info:
+                simulate(*args, channel, seed=1, memo=memo)
+            name = type(channel).__name__
+            assert str(info.value) == f"channel must be a ChannelConfig, got {name}"
+        look_alike = SimpleNamespace(packet_count=2, packet_airtime=23.5, deadline=1000)
+        with pytest.raises(ValueError) as info:
+            simulate([look_alike], Schedule((0,)), ChannelConfig(), seed=1, memo=memo)
+        assert str(info.value) == (
+            "request must be a TransmissionRequest, got SimpleNamespace"
+        )
+        assert repr(memo) == before
+
     def test_channel_validation(self):
         with pytest.raises(ValueError):
             ChannelConfig(slot_time=0)
