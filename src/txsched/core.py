@@ -172,9 +172,12 @@ def window(request: TransmissionRequest, margin: TimeSpan = 0) -> TimeSpan:
     slack reserved for backoff-induced delay; 0 by default.
 
     Raises:
+        ValueError: ``request`` is not a `TransmissionRequest`.
         InadmissibleRequestError: the train plus the margin cannot fit
             before the deadline even when started at time 0.
     """
+    if type(request) is not TransmissionRequest:
+        _check_type("request", request, TransmissionRequest)
     d = compute_duration(request)
     if d + margin > request.deadline:
         raise InadmissibleRequestError(

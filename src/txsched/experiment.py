@@ -18,7 +18,8 @@ import math
 from pathlib import Path
 
 from .core import (
-    TransmissionRequest, _check_bound, _check_int, _Record, compute_duration,
+    TransmissionRequest, _check_bound, _check_int, _check_requests, _check_type,
+    _Record, compute_duration,
 )
 from .scenario import ScenarioError, ScenarioSpec
 from .schedulers import (
@@ -84,10 +85,14 @@ def rescale_requests(
     """Copies whose deadlines give every connection exactly this window.
 
     Raises:
-        ValueError: the window is not an int or is negative.
+        ValueError: the window is not an int or is negative, a request is
+            not a `TransmissionRequest`, or ``config`` is not a
+            `SchedulerConfig`.
     """
     _check_int("window", window_us)
     _check_bound("window", window_us, ">=", 0)
+    _check_requests(requests)
+    _check_type("config", config, SchedulerConfig)
     return tuple(
         req.replace(deadline=window_us + compute_duration(req) + config.margin)
         for req in requests
@@ -99,14 +104,17 @@ def run_scheduler(
     requests: list[TransmissionRequest] | tuple,
     config: SchedulerConfig,
     seed: int,
+    *,
+    memo: dict | None = None,
 ) -> ScheduleResult:
-    """Dispatch one named strategy; `seed` only matters for 'random'."""
+    """Dispatch one named strategy; `seed` and `memo` only matter for
+    'random' (see `random_schedule`)."""
     if name == "tsgs":
         return tsgs_schedule(requests, config)
     if name == "exhaustive":
         return exhaustive_schedule(requests, config)
     if name == "random":
-        return random_schedule(requests, config, seed)
+        return random_schedule(requests, config, seed, memo=memo)
     raise ValueError(f"unknown scheduler {name!r}")
 
 
@@ -143,8 +151,11 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
     """Run every (window, scheduler, seed) combination of the scenario.
 
     Greedy and exhaustive schedules are computed once per window size
-    (they are seed-invariant); the random baseline re-draws per seed. The
-    channel simulation always varies with the seed. Every row calls
+    (they are seed-invariant); the random baseline re-draws per seed,
+    every call sharing one `random_schedule` memo for this call only, so
+    each seed's generator is seeded once and every window reads the same
+    fresh draws from its words. The channel simulation always varies with
+    the seed. Every row calls
     `simulate`, sharing one memo for this call only: once a window is
     longer than the trains, tsgs's placement stops changing, and trains
     placed apart make the same run wherever they sit. A row whose run
@@ -165,6 +176,7 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
     connections = len(spec.requests)
     rows: list[SweepRow] = []
     memo: dict = {}  # simulate's, for this call only
+    draws: dict = {}  # random_schedule's word streams, for this call only
     # id(report) -> (report, pdr, collided, received, mean delay); holding
     # the report keeps its id from being reused within this call. Only the
     # reports simulate's memo keeps are filed: it returns no other again.
@@ -180,7 +192,9 @@ def run_experiment(spec: ScenarioSpec) -> SweepTable:
             group: list[SweepRow] = []
             for seed in seeds:
                 if name == "random" or not group:
-                    result = run_scheduler(name, requests, spec.scheduler_config, seed)
+                    result = run_scheduler(
+                        name, requests, spec.scheduler_config, seed, memo=draws
+                    )
                 report = simulate(
                     requests, result.schedule, spec.channel, seed, memo=memo
                 )

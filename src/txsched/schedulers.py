@@ -9,7 +9,9 @@ grid:
 * ``exhaustive_schedule`` - enumerates the full cartesian product of
   candidate grids and returns a global overlap minimum (the oracle).
 * ``random_schedule`` - draws each start uniformly from the grid, the
-  uncoordinated baseline.
+  uncoordinated baseline. It reads ``Random(seed).randrange``'s draws
+  from the seed's stream of 32-bit words; calls that share a memo share
+  the stream, so a seed is seeded once however many windows draw from it.
 
 Each connection's grid is {0, step, 2*step, ..., sigma*step} with
 sigma = floor(window / step), so every candidate finishes at least
@@ -427,12 +429,31 @@ def exhaustive_schedule(
 
 
 def random_schedule(
-    requests: list[TransmissionRequest] | tuple, config: SchedulerConfig, seed: int
+    requests: list[TransmissionRequest] | tuple,
+    config: SchedulerConfig,
+    seed: int,
+    *,
+    memo: dict | None = None,
 ) -> ScheduleResult:
     """Draw each start independently and uniformly from its grid.
 
     Deterministic for a given seed; feasible by grid construction. Each
-    draw picks a grid index, and the start is that index times the step.
+    draw picks a grid index, and the start is that index times the step:
+    the indices are exactly ``Random(seed).randrange(n)`` for each grid
+    of n points in turn, as drawn from one fresh generator.
+
+    The draws are read from the seed's stream of 32-bit words, as
+    CPython's ``randrange`` reads them (``_randbelow_with_getrandbits``):
+    with k = n.bit_length() and m = ceil(k / 32), a candidate is the next
+    m words, least significant first, the last shifted right by
+    32 * m - k; one that is >= n is rejected for the next m words.
+
+    ``memo``, when given a dict, maps each seed to ``(getrandbits,
+    words)``: a ``Random(seed)``'s ``getrandbits`` and the words drawn
+    from it so far. Every call reads the words from the first one and
+    draws more only when it needs them, so calls that share the dict get
+    a fresh generator's draws without seeding one again. Without it, the
+    call reads a stream of its own.
 
     Raises:
         ValueError: a request is not a `TransmissionRequest`, ``config``
@@ -441,10 +462,29 @@ def random_schedule(
     _check_requests(requests)
     _check_type("config", config, SchedulerConfig)
     _check_int("seed", seed)
-    rng = random.Random(seed)
+    if memo is None:
+        memo = {}
+    stream = memo.get(seed)
+    if stream is None:
+        stream = memo[seed] = (random.Random(seed).getrandbits, [])
+    getrandbits, words = stream
     step, margin = config.step, config.margin
-    starts = [
-        rng.randrange(_grid_size(window(req, margin), step)) * step
-        for req in requests
-    ]
+    starts = []
+    i = 0  # the next unread word
+    for req in requests:
+        n = _grid_size(window(req, margin), step)
+        k = n.bit_length()
+        m = -(-k // 32)
+        while True:
+            j = i + m - 1  # the candidate's most significant word
+            while len(words) <= j:
+                words.append(getrandbits(32))
+            r = words[j] >> (32 * m - k)
+            while j > i:
+                j -= 1
+                r = r << 32 | words[j]
+            i += m
+            if r < n:
+                break
+        starts.append(r * step)
     return _result(starts, requests, 0)

@@ -34,6 +34,7 @@ from txsched import (
     window,
 )
 from txsched.core import _Record
+from txsched.schedulers import candidate_grid
 
 
 def req(deadline, packets=1, airtime=23, overhead=0, id=0):
@@ -280,6 +281,28 @@ class TestValidation:
         with pytest.raises(ValueError) as err:
             call(Schedule((0,)), [req(100), look_alike])
         assert str(err.value) == "schedule has 1 starts for 2 requests"
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            window,
+            lambda request: window(request, 10),
+            lambda request: candidate_grid(request, SchedulerConfig(step=1)),
+        ],
+        ids=["window", "window-margin", "candidate_grid"],
+    )
+    @pytest.mark.parametrize("airtime", [23.5, 23], ids=["float", "int"])
+    def test_window_refuses_look_alike_request(self, call, airtime):
+        # a look-alike's float airtime made window return the float 53.0
+        look_alike = SimpleNamespace(
+            id=0, deadline=100, packet_count=2, packet_airtime=airtime,
+            per_packet_overhead=0,
+        )
+        with pytest.raises(ValueError) as err:
+            call(look_alike)
+        assert str(err.value) == (
+            "request must be a TransmissionRequest, got SimpleNamespace"
+        )
 
     def test_interval_end(self):
         # [40, 100) ends where [100, 110) starts; one tick earlier they overlap

@@ -2,6 +2,7 @@ import importlib.util
 import statistics
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from txsched import (
     WindowSweep,
     format_summary,
     parse_scenario,
+    random_schedule,
     read_table,
     render,
     report_comparison,
@@ -86,6 +88,35 @@ class TestRescale:
         with pytest.raises(ValueError) as info:
             rescale_requests((request,), window_us, SchedulerConfig(step=10))
         assert str(info.value) == f"window must be an int, got {window_us!r}"
+
+    @pytest.mark.parametrize(
+        "requests, config, message",
+        [
+            ((SimpleNamespace(id=0, deadline=100, packet_count=5, packet_airtime=23,
+                              per_packet_overhead=58),),
+             SchedulerConfig(step=10),
+             "request must be a TransmissionRequest, got SimpleNamespace"),
+            ((TransmissionRequest(0, 100, 5, 23, 58), None), SchedulerConfig(step=10),
+             "request must be a TransmissionRequest, got NoneType"),
+            ((TransmissionRequest(0, 100, 5, 23, 58),), None,
+             "config must be a SchedulerConfig, got NoneType"),
+            ((TransmissionRequest(0, 100, 5, 23, 58),),
+             SimpleNamespace(step=10, margin=0, ordering="input-order"),
+             "config must be a SchedulerConfig, got SimpleNamespace"),
+        ],
+        ids=("look-alike request", "None request", "None config", "look-alike config"),
+    )
+    def test_look_alike_requests_and_config_refused(self, requests, config, message):
+        # a None config raised AttributeError, and a look-alike request or
+        # config was copied through replace or read for its margin
+        with pytest.raises(ValueError) as info:
+            rescale_requests(requests, 10, config)
+        assert str(info.value) == message
+
+    def test_window_checked_before_requests_and_config(self):
+        with pytest.raises(ValueError) as info:
+            rescale_requests((None,), -1, None)
+        assert str(info.value) == "window must be >= 0, got -1"
 
 
 class TestRunExperiment:
@@ -540,6 +571,28 @@ def test_table2_simulates_each_distinct_run_once_per_call(monkeypatch):
         assert (len(calls), len(closings), len(runs), len(builds)) == (
             400, 87, 83, 83
         )
+
+
+def test_table2_random_calls_share_one_draw_memo(monkeypatch):
+    # a tracer swaps experiment.random_schedule and must see one call per
+    # (window, seed), each forwarding the experiment's one word-stream memo
+    memos = []
+
+    def spy(requests, config, seed, **kwargs):
+        memos.append((seed, kwargs["memo"]))
+        return random_schedule(requests, config, seed, **kwargs)
+
+    monkeypatch.setattr(experiment, "random_schedule", spy)
+    spec = load_scenario(resolve_scenario("table2"))
+    run_experiment(spec)
+    assert len(memos) == 200
+    assert all(memo is memos[0][1] for _, memo in memos)
+    # every seed has a stream, and a second call gets a new memo
+    assert sorted(memos[0][1]) == sorted(spec.seeds)
+    first = memos[0][1]
+    memos.clear()
+    run_experiment(spec)
+    assert len(memos) == 200 and memos[0][1] is not first
 
 
 def test_fresh_report_per_row_gets_its_own_values(monkeypatch):

@@ -1,9 +1,13 @@
 import itertools
 import random
+import signal
 import tracemalloc
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from txsched import (
     InstanceTooLargeError,
@@ -301,6 +305,113 @@ class TestRandom:
         with pytest.raises(ValueError) as info:
             random_schedule(requests, config, seed)
         assert str(info.value) == f"seed must be an int, got {seed!r}"
+
+
+# grid sizes on both sides of every word boundary: one point, powers of two
+# and their neighbours up to five words, and the 10**29-point grid
+_GRID_SIZES = st.one_of(
+    st.integers(1, 3000),
+    st.builds(
+        lambda j, d: 2**j + d, st.integers(1, 160), st.sampled_from((-1, 0, 1))
+    ),
+    st.sampled_from((1, 2**32 - 1, 2**32, 2**32 + 1, 10**29 - 22)),
+)
+
+
+@st.composite
+def draw_calls(draw):
+    """Calls sharing one config, as (seed, requests) in any seed and
+    window order, each request given a grid of a drawn size."""
+    step = draw(st.integers(1, 7))
+    margin = draw(st.sampled_from((0, 0, draw(st.integers(1, 3 * step)))))
+    config = SchedulerConfig(step=step, margin=margin)
+    seeds = draw(st.lists(
+        st.integers(-(2**40), 2**40), min_size=1, max_size=4, unique=True
+    ))
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        requests = []
+        for i in range(draw(st.integers(0, 4))):
+            n = draw(_GRID_SIZES)
+            duration = draw(st.integers(1, 60))
+            w = (n - 1) * step + draw(st.integers(0, step - 1))
+            requests.append(req(w + duration + margin, duration, id=i))
+        calls.append((draw(st.sampled_from(seeds)), requests))
+    return config, calls
+
+
+@contextmanager
+def _bounded(seconds):
+    """Raise TimeoutError, rather than hang, once the body has run
+    ``seconds``: a draw that re-reads a rejected candidate never ends."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still drawing after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestRandomDrawMemo:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(draw_calls())
+    # seed 0 rejects its first candidate for 3 points, and 2**32 + 1 points
+    # read two words with the high one shifted by 31
+    @example((SchedulerConfig(step=1), [(0, [req(2 + 5, 5)])]))
+    @example((SchedulerConfig(step=3), [(1, [req(3 * 2**32 + 5, 5)])] * 2))
+    def test_shared_memo_draws_what_a_fresh_generator_draws(self, case):
+        config, calls = case
+        memo = {}
+        with _bounded(10):
+            for seed, requests in calls:
+                drawn = random_schedule(requests, config, seed, memo=memo)
+                fresh = random.Random(seed)
+                assert drawn.schedule.starts == tuple(
+                    fresh.randrange(window(r, config.margin) // config.step + 1)
+                    * config.step
+                    for r in requests
+                )
+                assert drawn == random_schedule(requests, config, seed)
+        assert sorted(memo) == sorted({seed for seed, _ in calls})
+
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(1, 3), (3, 0), (2**10 - 1, 9), (2**32 + 1, 4), (10**29 - 22, 1)],
+    )
+    def test_memo_holds_the_words_a_fresh_draw_reads(self, n, seed):
+        # one stream per seed, holding exactly the words that
+        # Random(seed).randrange(n) reads, rejected candidates included;
+        # a second call reads them again and draws none
+        rs = [req(n - 1 + 5, 5)]
+        memo = {}
+        for _ in range(2):
+            with _bounded(10):
+                random_schedule(rs, SchedulerConfig(step=1), seed, memo=memo)
+            _, words = memo[seed]
+            fresh, replay = random.Random(seed), random.Random(seed)
+            fresh.randrange(n)
+            assert words == [replay.getrandbits(32) for _ in words]
+            assert replay.getstate() == fresh.getstate()
+
+    def test_huge_grid_start(self):
+        # CI traces this scenario's random schedule at seed 1
+        result = random_schedule([req(10**29, 23)], SchedulerConfig(step=1), 1)
+        assert result.schedule.starts == (20208650671704010362418805700,)
+
+    def test_checks_run_before_the_memo(self):
+        memo = {}
+        with pytest.raises(ValueError) as info:
+            random_schedule([req(100, 50)], SchedulerConfig(step=10), 1.5, memo=memo)
+        assert str(info.value) == "seed must be an int, got 1.5"
+        with pytest.raises(ValueError) as info:
+            random_schedule([None], SchedulerConfig(step=10), 1, memo=memo)
+        assert str(info.value) == "request must be a TransmissionRequest, got NoneType"
+        assert memo == {}
 
 
 class TestAllStrategies:
