@@ -40,13 +40,15 @@ intervals thus costs O(N log N) whatever its grid size G, rather than
 N * G pairwise overlaps, and tsgs costs O(N^2 log N) in all when no
 placement finds a free start.
 
-The exhaustive walk scores whole grids on entering a level and skips
-every subtree whose partial overlap already reaches the best cost found.
-Its last level is scored from an overlap-difference table instead: every
-grid is a multiple of one step from 0, so two trains' overlap depends
-only on the difference of their grid indices, and the last level's
-scores against one penultimate start are one slice of a table built once
-per search.
+The exhaustive walk scores whole grids on entering a level above the
+penultimate one and skips every subtree whose partial overlap already
+reaches the best cost found. Its last two levels are scored from
+overlap-difference tables instead: every grid is a multiple of one step
+from 0, so two trains' overlap depends only on the difference of their
+grid indices, and a level's scores against one start fixed above it are
+one slice of a table built once per search. Fixing a start adds its
+slices to the last two grids' scores against the starts fixed before it,
+so those scores are kept as stacks of vectors, one per fixed level.
 
 All strategies report an operation counter with the paper's meaning, in
 closed form, not the work the fast path does: pairwise-overlap
@@ -61,6 +63,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
+from itertools import repeat
 from operator import add
 
 from .core import (
@@ -305,15 +308,31 @@ def _trapezoid(
 
     Grids are multiples of one step from 0, so [m * step, m * step + d)
     and the other level's [k * step, k * step + d') overlap by an amount
-    that depends on k - m only, a trapezoid in the start difference. It is
-    stored at index k - m + len(grid) - 1, so choice m's overlaps with the
-    whole other grid are one slice.
+    that depends on j = k - m only, a trapezoid in the start difference
+    j * step: 0, then rising by step while j * step + d' < min(d, d'),
+    flat at min(d, d'), falling by step while d - j * step < min(d, d'),
+    and 0 again. It is stored at index j + len(grid) - 1, so choice m's
+    overlaps with the whole other grid are the slice of len(other)
+    entries from len(grid) - 1 - m. The table is built part by part, from
+    ranges and repeated constants, each part clipped to the stored offsets.
     """
     step = grid.step
-    return [
-        max(0, min(duration, delta + other_duration) - max(0, delta))
-        for delta in range(-grid[-1], other[-1] + step, step)
-    ]
+    first, stop = 1 - len(grid), len(other)  # the offsets stored
+
+    def clip(offset: int) -> int:
+        return min(max(offset, first), stop)
+
+    plateau = min(duration, other_duration)
+    rise = clip(-other_duration // step + 1)  # the first positive overlap
+    flat = clip(-((other_duration - plateau) // step))
+    fall = clip((duration - plateau) // step + 1)
+    end = clip(-(-duration // step))  # the first 0 after the plateau
+    table = [0] * (rise - first)
+    table += range(rise * step + other_duration, flat * step + other_duration, step)
+    table += repeat(plateau, fall - flat)
+    table += range(duration - fall * step, duration - end * step, -step)
+    table += repeat(0, stop - end)
+    return table
 
 
 def _first_least(base: list, row: list) -> tuple[int, TimeSpan]:
@@ -321,6 +340,13 @@ def _first_least(base: list, row: list) -> tuple[int, TimeSpan]:
     scores = list(map(add, base, row))
     least = min(scores)
     return scores.index(least), least
+
+
+def _push(rows: list, table: list, offset: int, size: int) -> None:
+    """Push the top of ``rows``, or zeros if it is empty, plus the
+    ``size`` entries of ``table`` from ``offset``."""
+    row = table[offset : offset + size]
+    rows.append(list(map(add, rows[-1], row)) if rows else row)
 
 
 def _assignments(grids: list[range]) -> int:
@@ -347,14 +373,18 @@ def exhaustive_schedule(
     levels to visit. The counter stays exactly the product of grid sizes
     (1 for no connections, whose minimum is the empty schedule).
 
-    Every level but the last is scored whole on entry against the spans
-    fixed above it. Entering the penultimate level also scores the last
-    grid against those spans, its base scores. Each penultimate choice, in
-    grid order, then scores the last grid as base plus one slice of the
-    (penultimate, last) ``_trapezoid`` table and takes its first minimum.
-    A last grid longer than ``_TABLE_RATIO`` times the starts
-    ``_least_overlap`` scores is scored per choice by it instead and gets
-    no table, so the table stays within a constant times the sum of the
+    Every level above the penultimate is scored whole on entry against
+    the spans fixed above it. The last two levels are scored from
+    ``_trapezoid`` tables against every level above them instead: fixing
+    a choice pushes the penultimate grid's scores against the spans fixed
+    so far, the previous ones plus that choice's slice of its level's
+    table, and likewise the last grid's, its base scores; backtracking
+    pops them. Each penultimate choice, in grid order, then scores the
+    last grid as base plus one slice of the (penultimate, last) table and
+    takes its first minimum. A last grid longer than ``_TABLE_RATIO``
+    times the starts ``_least_overlap`` scores is scored per choice by it
+    instead and gets no tables, so the tables and stacks stay within a
+    constant times N times the last two grid sizes plus the sum of the
     grid sizes.
 
     Raises:
@@ -373,24 +403,38 @@ def exhaustive_schedule(
     if pen >= 0:
         pen_grid, last_grid = grids[pen:]
         pen_duration, last_duration = durations[pen:]
+        pen_tables = [
+            _trapezoid(grids[j], durations[j], pen_grid, pen_duration)
+            for j in range(pen)
+        ]
         pair = None
         if len(last_grid) <= _TABLE_RATIO * (4 * last + 2):
             pair = _trapezoid(pen_grid, pen_duration, last_grid, last_duration)
+            last_tables = [
+                _trapezoid(grids[j], durations[j], last_grid, last_duration)
+                for j in range(pen)
+            ]
     spans: _Spans = []  # [start, end) of the levels fixed so far
     sums = [0]  # sums[j]: overlap among the first j spans, each pair once
+    # per fixed level: the penultimate grid's and, when it has tables, the
+    # last grid's overlaps with the spans fixed down to that level
+    pen_rows: list[list[TimeSpan]] = []
+    last_rows: list[list[TimeSpan]] = []
     pending = []  # per entered level above the penultimate: choices not yet visited
     while pen >= 0:
         if len(spans) < pen:
             level = len(spans)
             scores = list(_overlaps(grids[level], durations[level], spans))
-            pending.append(zip(grids[level], scores))
+            pending.append(enumerate(scores))
         else:
             # the last two levels: each penultimate choice whose partial sum
             # stays below the best takes the last grid's first minimum
             if pair is not None:
-                base = list(_overlaps(last_grid, last_duration, spans))
+                base = last_rows[-1] if last_rows else [0] * len(last_grid)
             prefix = sums[-1]
-            for k, score in enumerate(_overlaps(pen_grid, pen_duration, spans)):
+            for k, score in enumerate(
+                pen_rows[-1] if pen_rows else repeat(0, len(pen_grid))
+            ):
                 partial = prefix + score
                 if partial >= best_cost:
                     continue
@@ -415,12 +459,21 @@ def exhaustive_schedule(
             if len(spans) == len(pending):
                 spans.pop()
                 sums.pop()
+                pen_rows.pop()
+                if pair is not None:
+                    last_rows.pop()
             prefix = sums[-1]
             choice = next((c for c in pending[-1] if prefix + c[1] < best_cost), None)
             if choice is not None:
-                start, score = choice
-                spans.append((start, start + durations[len(spans)]))
+                k, score = choice
+                level = len(spans)
+                start = grids[level][k]
+                offset = len(grids[level]) - 1 - k
+                spans.append((start, start + durations[level]))
                 sums.append(prefix + score)
+                _push(pen_rows, pen_tables[level], offset, len(pen_grid))
+                if pair is not None:
+                    _push(last_rows, last_tables[level], offset, len(last_grid))
                 break
             pending.pop()
         else:

@@ -7,6 +7,8 @@ asserts. Run with `pytest -s tests/test_acceptance.py` to see the lines.
 import itertools
 import random
 
+from timeouts import bounded
+
 from txsched import (
     Schedule,
     SchedulerConfig,
@@ -60,7 +62,8 @@ def test_criterion_1_oracle_dominance():
             requests.append(req(w + d + margin, d, id=i))
         oracle = exhaustive_schedule(requests, config)
         greedy = tsgs_schedule(requests, config)
-        drawn = random_schedule(requests, config, rng.randint(0, 10**6))
+        with bounded(10):
+            drawn = random_schedule(requests, config, rng.randint(0, 10**6))
         worst = max(
             total_cost(Schedule(starts), requests)
             for starts in itertools.product(
@@ -141,7 +144,8 @@ def test_criterion_3_zero_collision_threshold():
     colliding_runs = 0
     if qualifying:
         for seed in seeds:
-            drawn = random_schedule(list(requests), spec.scheduler_config, seed)
+            with bounded(10):
+                drawn = random_schedule(list(requests), spec.scheduler_config, seed)
             report = simulate(list(requests), drawn.schedule, spec.channel, seed)
             colliding_runs += report.total_collided > 0
     rate = colliding_runs / len(seeds)
@@ -165,7 +169,8 @@ def test_criterion_4_pdr_advantage():
     putting random placement in the 0.70-0.85 PDR band, the greedy
     scheduler's mean PDR leads by at least 5 percentage points."""
     spec = load_scenario(resolve_scenario("table2"))
-    table = run_experiment(spec)
+    with bounded(30):  # its random rows draw starts
+        table = run_experiment(spec)
     means = {}
     for name in ("tsgs", "random"):
         rows = [r for r in table.seed_rows() if r.scheduler == name]
@@ -255,8 +260,12 @@ def test_criterion_7_end_to_end_reproducibility(tmp_path):
     """Running the bundled scenario twice through the command line yields
     byte-identical CSV files."""
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    code_a = main(["run", "table2", "--out", str(a)])
-    code_b = main(["run", "table2", "--out", str(b)])
+    # its random rows draw starts; main reports the bound's TimeoutError, an
+    # OSError, as exit 2 and returns, so each run gets a bound of its own
+    with bounded(30):
+        code_a = main(["run", "table2", "--out", str(a)])
+    with bounded(30):
+        code_b = main(["run", "table2", "--out", str(b)])
     identical = a.read_bytes() == b.read_bytes()
     verdict(
         7,

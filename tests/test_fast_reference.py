@@ -224,25 +224,33 @@ def saturated_instances(draw, max_n=4, max_sigma=5):
 
 
 def test_saturated_exhaustive_equals_reference(monkeypatch):
-    # _overlaps is called once per entered level with the spans fixed above
-    # it, and entering the penultimate level calls it once more for the last
-    # grid's base scores (these grids are short enough for its table); the
-    # last level is recorded once per penultimate choice scanned, through
-    # _first_least
+    # a level above the penultimate is entered through one _overlaps call
+    # with the spans fixed above it; the penultimate level is entered once
+    # per choice fixed just above it, which calls _push twice, once for the
+    # penultimate grid's stack of scores and once for the last grid's
+    # (these grids are short enough for its tables); the last level is
+    # recorded once per penultimate choice scanned, through _first_least
     entered = []
     last = []
     overlaps = schedulers._overlaps
+    push = schedulers._push
     first_least = schedulers._first_least
 
     def counted_overlaps(starts, duration, spans):
         entered.append(len(spans))
         return overlaps(starts, duration, spans)
 
+    def counted_push(rows, table, offset, size):
+        if len(rows) == last[0] - 2:
+            entered.append(last[0] - 1)
+        return push(rows, table, offset, size)
+
     def counted_least(base, row):
         entered.append(last[0])
         return first_least(base, row)
 
     monkeypatch.setattr(schedulers, "_overlaps", counted_overlaps)
+    monkeypatch.setattr(schedulers, "_push", counted_push)
     monkeypatch.setattr(schedulers, "_first_least", counted_least)
     reached = set()
 
@@ -279,6 +287,104 @@ def test_saturated_exhaustive_equals_reference(monkeypatch):
         "tied minima",
         "3 levels, cut below the first",
         "4 levels, cut below the first",
+    }
+
+
+def compare(a, b):
+    return "shorter than" if a < b else "equal to" if a == b else "longer than"
+
+
+@st.composite
+def trapezoid_cases(draw):
+    """Two grids of 1 to 40 points on one step of 1 to 50, with train
+    durations shorter than, equal to or longer than the step and each
+    other."""
+    step = draw(st.integers(1, 50))
+    grid, other = (
+        range(0, (draw(st.integers(1, 40)) - 1) * step + 1, step) for _ in range(2)
+    )
+    durations = st.one_of(
+        st.integers(1, step), st.just(step), st.integers(step, 5 * step)
+    )
+    duration = draw(durations)
+    other_duration = draw(st.one_of(st.just(duration), durations))
+    return grid, duration, other, other_duration
+
+
+def test_trapezoid_equals_the_overlap_at_every_offset():
+    reached = set()
+
+    @PROPERTY
+    @given(trapezoid_cases())
+    def check(case):
+        grid, d, other, d_other = case
+        step = grid.step
+        table = schedulers._trapezoid(grid, d, other, d_other)
+        # the offset delta of the other start from this one, index by index
+        offsets = range(-grid[-1], other[-1] + step, step)
+        assert table == [
+            max(0, min(d, delta + d_other) - max(0, delta)) for delta in offsets
+        ]
+        reached.add(f"a train {compare(d, d_other)} the other")
+        for length in (d, d_other):
+            reached.add(f"a train {compare(length, step)} the step")
+
+    check()
+    assert reached == {
+        f"a train {relation} {than}"
+        for relation in ("shorter than", "equal to", "longer than")
+        for than in ("the other", "the step")
+    }
+
+
+@st.composite
+def deep_instances(draw):
+    """Five or six trains of one to four steps on grids of two or three
+    points: the walk fixes three or four levels above the penultimate one,
+    so its stacks of scores grow at least three deep."""
+    n = draw(st.integers(5, 6))
+    step = draw(st.integers(1, 20))
+    requests = []
+    for i in range(n):
+        window = draw(st.integers(step, 3 * step - 1))
+        length = draw(st.integers(1, 4 * step))
+        requests.append(TransmissionRequest(i, length + window, 1, length))
+    return requests, SchedulerConfig(step=step)
+
+
+def test_deep_exhaustive_equals_reference(monkeypatch):
+    # each choice fixed above the penultimate level pushes one row onto
+    # each of the two stacks, at the depth of its level (these last grids
+    # are short enough for their tables); a level is backtracked when it
+    # fixes more choices than the level above it
+    pushes = Counter()
+    push = schedulers._push
+
+    def counted_push(rows, table, offset, size):
+        pushes[len(rows)] += 1
+        return push(rows, table, offset, size)
+
+    monkeypatch.setattr(schedulers, "_push", counted_push)
+    reached = set()
+
+    @settings(PROPERTY, max_examples=100)
+    @given(deep_instances())
+    def check(instance):
+        requests, config = instance
+        expected = reference.exhaustive(requests, config)
+        pushes.clear()
+        assert exhaustive_schedule(requests, config) == expected
+        fixed = [pushes[level] // 2 for level in range(len(requests) - 2)]
+        backtracked = [1 < fixed[0]] + [
+            above < here for above, here in zip(fixed, fixed[1:])
+        ]
+        if sum(backtracked) >= 3:
+            reached.add(f"{len(requests)} trains, backtracked at 3 levels")
+
+    check()
+    assert reached == {
+        "5 trains, backtracked at 3 levels",
+        "6 trains, backtracked at 3 levels",
     }
 
 

@@ -1,13 +1,12 @@
 import itertools
 import random
-import signal
 import tracemalloc
-from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from timeouts import bounded
 
 from txsched import (
     InstanceTooLargeError,
@@ -273,6 +272,11 @@ class TestExhaustive:
 
 
 class TestRandom:
+    @pytest.fixture(autouse=True)
+    def bounded_draws(self):
+        with bounded(10):
+            yield
+
     def test_same_seed_same_schedule(self):
         requests, config = random_instance(random.Random(77))
         a = random_schedule(requests, config, 12345)
@@ -340,23 +344,6 @@ def draw_calls(draw):
     return config, calls
 
 
-@contextmanager
-def _bounded(seconds):
-    """Raise TimeoutError, rather than hang, once the body has run
-    ``seconds``: a draw that re-reads a rejected candidate never ends."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still drawing after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 class TestRandomDrawMemo:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(draw_calls())
@@ -367,7 +354,7 @@ class TestRandomDrawMemo:
     def test_shared_memo_draws_what_a_fresh_generator_draws(self, case):
         config, calls = case
         memo = {}
-        with _bounded(10):
+        with bounded(10):
             for seed, requests in calls:
                 drawn = random_schedule(requests, config, seed, memo=memo)
                 fresh = random.Random(seed)
@@ -390,7 +377,7 @@ class TestRandomDrawMemo:
         rs = [req(n - 1 + 5, 5)]
         memo = {}
         for _ in range(2):
-            with _bounded(10):
+            with bounded(10):
                 random_schedule(rs, SchedulerConfig(step=1), seed, memo=memo)
             _, words = memo[seed]
             fresh, replay = random.Random(seed), random.Random(seed)
