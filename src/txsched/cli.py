@@ -11,8 +11,8 @@ Verbs:
   channel event trace for one run.
 
 Scenario arguments name either a file path or a bundled scenario (e.g.
-``table2``). Exit codes: 0 success, 1 scenario validation error, 2
-runtime error.
+``table2``). Exit codes: 0 success, 1 scenario validation error or
+missing file, 2 a run refused or another file error.
 """
 
 from __future__ import annotations
@@ -121,35 +121,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args) -> int:
-    spec = load_scenario(resolve_scenario(args.scenario))
+def _cmd_validate(args, spec: ScenarioSpec) -> tuple[str, None]:
     check_run_size(spec)  # a scenario that validates also runs
-    print(
+    return (
         f"ok: {len(spec.requests)} connections, "
         f"{len(spec.schedulers)} schedulers, {len(spec.seeds)} seeds"
         + ("" if spec.sweep is None else f", {spec.sweep.count()} sweep points")
-    )
-    return 0
+        + "\n"
+    ), None
 
 
-def _cmd_run(args, spec: ScenarioSpec) -> int:
+def _cmd_run(args, spec: ScenarioSpec) -> tuple[str, str | None]:
     if args.summary:
         # fail before the work, and before any table is written
         _require_comparison(spec.schedulers)
     table = run_experiment(spec)
-    if args.out:
-        Path(args.out).write_text(render(table, args.format), encoding="utf-8")
-        summary_to = sys.stdout
-    else:
-        sys.stdout.write(render(table, args.format))
-        # keep stdout one parseable table
-        summary_to = sys.stderr
-    if args.summary:
-        summary_to.write(format_summary(report_comparison(table)))
-    return 0
+    summary = format_summary(report_comparison(table)) if args.summary else None
+    return render(table, args.format), summary
 
 
-def _cmd_trace(args, spec: ScenarioSpec) -> int:
+def _cmd_trace(args, spec: ScenarioSpec) -> tuple[str, None]:
     requests = spec.requests
     if args.window is not None:
         requests = rescale_requests(requests, args.window, spec.scheduler_config)
@@ -158,20 +149,23 @@ def _cmd_trace(args, spec: ScenarioSpec) -> int:
     )
     trace: list[str] = []
     simulate(requests, result.schedule, spec.channel, args.seed, trace=trace)
-    text = "\n".join(trace) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return "\n".join(trace) + "\n", None
+
+
+def _failed(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 1 if isinstance(exc, (ScenarioError, FileNotFoundError)) else 2
 
 
 def main(argv: list[str] | None = None) -> int:
+    # file errors are caught only where the scenario is read and the
+    # output written: an OSError raised inside a run propagates
     args = build_parser().parse_args(argv)
     try:
-        if args.verb == "validate":
-            return _cmd_validate(args)
         spec = load_scenario(resolve_scenario(args.scenario))
+    except (ValueError, OSError) as exc:
+        return _failed(exc)
+    try:
         if args.verb == "sweep":
             try:
                 sweep = WindowSweep(args.start, args.stop, args.step)
@@ -179,15 +173,22 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: invalid sweep: {exc}", file=sys.stderr)
                 return 1
             spec = spec.replace(sweep=sweep)
-        if args.verb in ("run", "sweep"):
-            return _cmd_run(args, spec)
-        return _cmd_trace(args, spec)
-    except (ScenarioError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        verb = {"validate": _cmd_validate, "trace": _cmd_trace}.get(args.verb, _cmd_run)
+        text, summary = verb(args, spec)
+    except ValueError as exc:
+        return _failed(exc)
+    out = getattr(args, "out", None)
+    try:
+        if out:
+            Path(out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        if summary is not None:
+            # with --out, stdout holds the summary; else it keeps one table
+            (sys.stdout if out else sys.stderr).write(summary)
+    except OSError as exc:
+        return _failed(exc)
+    return 0
 
 
 if __name__ == "__main__":

@@ -80,10 +80,10 @@ m = min(k, (h - now) // P) packets fit, and packet j ends at now + j * P.
 Over frozen senders every packet of the stretch ends in an idle edge and
 starts in a busy edge that counts no slot, so the step holds unchanged.
 Only the ambient-loss draws, in packet order, are taken one by one;
-lateness is end > deadline, and every packet of the stretch lags its
-nominal end by the same amount. The last of the m packets is accounted as
-a single inline packet, so the train's end and a re-queue at an instant
-shared with another event keep one definition.
+lateness is end > deadline, and the ends join the end sum (below) in one
+term. The last of the m packets is accounted as a single inline packet,
+so the train's end and a re-queue at an instant shared with another event
+keep one definition.
 
 Senders that start together collide, and if they share one airtime a and
 the channel was idle, with nobody waiting out an AIFS, they end together,
@@ -93,8 +93,8 @@ sender's first sense) breaks in. Untraced, the group accounts its next
 rounds = min(k - 1, (h - now - 1) // P) collided packets in one step, k
 being the fewest packets any member has left, so every queued event falls
 strictly after the start of the last round, which the group starts as a
-queued one. Collided packets take no loss draw and count no lateness, and
-each packet of the stretch lags its nominal end by the same amount.
+queued one. Collided packets take no loss draw and count no lateness;
+the rounds' ends join each member's end sum in one term.
 
 Deferred senders need not stop the stretch either; the capture argument
 holds for a group. The group's first busy edge leaves every deferred
@@ -107,6 +107,11 @@ sets idle_since to the end of the last batched round, so the last round's
 queued busy edge counts no slot and clears the timers. A sender waiting
 out an AIFS does stop it: it draws at the group's busy edge, and a draw
 of 0 joins the next round.
+
+No packet's delay is kept. Each sender sums its packets' end times: m
+packets from end E, P apart, add m * E + P * m(m - 1) / 2. Uncontended,
+packet j ends at start + j * P, so the report's delay is that end sum
+less sent * start + P * sent(sent + 1) / 2.
 """
 
 from __future__ import annotations
@@ -175,7 +180,8 @@ class SenderState:
     only a commit reads the phase. ``backoff_target`` is the
     channel clock reading at which its countdown reaches zero, fixed from
     the draw to the commit. ``count`` is the train's packet count, kept
-    once: the packets left are ``count - sent``.
+    once: the packets left are ``count - sent``. ``end_total`` sums the
+    sent packets' end times; ``last_tx_end`` is set at the train's end.
     """
 
     __slots__ = (
@@ -183,7 +189,7 @@ class SenderState:
         "phase", "backoff_target", "current_collided",
         # outcome counters
         "sent", "received", "collided", "ambient_lost", "delivered_late",
-        "delay_total_us", "last_tx_end",
+        "end_total", "last_tx_end",
     )
 
     def __init__(
@@ -201,7 +207,7 @@ class SenderState:
         self.collided = 0
         self.ambient_lost = 0
         self.delivered_late = 0
-        self.delay_total_us = 0
+        self.end_total = 0
         self.last_tx_end = 0
 
 
@@ -279,15 +285,22 @@ def _run(
     at an end, as endings resolve first and an inline packet needs it
     empty. An inline packet first takes the packets of its train before the
     last one that ends by the heap's top time in one arithmetic step.
+
+    A backoff is ``getrandbits(cw.bit_length())`` redrawn while >= cw,
+    the body of ``Random._randbelow_with_getrandbits`` that
+    ``randrange(cw)`` runs: the same draws from the same generator.
     """
     rng = random.Random(seed)
     aifs = channel.aifs
     slot = channel.slot_time
     cw = channel.cw
+    width = cw.bit_length()
     loss = channel.ambient_loss_rate
     push = heapq.heappush
     pop = heapq.heappop
     draw = rng.random
+    bits = rng.getrandbits
+    traced = trace is not None
 
     active: dict[int, SenderState] = {}  # on air, by position
     waiting: set[int] = set()  # aifs-wait
@@ -301,13 +314,18 @@ def _run(
     starting: list[int] = []  # committed at now, in position order
 
     def defer(p: int) -> None:
-        # draw a fresh backoff for sender p and file it under its target
+        # draw a fresh backoff for sender p, as randrange(cw) would, and
+        # file it under its target
+        b = bits(width)
+        while b >= cw:
+            b = bits(width)
         senders[p].phase = "backoff-wait-idle"
-        senders[p].backoff_target = target = clock + rng.randrange(cw)
-        if target not in deferred:
-            deferred[target] = set()
+        senders[p].backoff_target = target = clock + b
+        holders = deferred.get(target)
+        if holders is None:
+            holders = deferred[target] = set()
             push(targets, target)
-        deferred[target].add(p)
+        holders.add(p)
 
     heap = [
         (s.scheduled_start, _PRIO_DECISION, p, _SENSE) for p, s in enumerate(senders)
@@ -320,7 +338,7 @@ def _run(
             now, _prio, pos, kind = pop(heap)
         s = senders[pos]
         if kind == _COMMIT:
-            if trace is not None:
+            if traced:
                 trace.append(f"{now} c{pos} {s.phase}->tx-pending")
             if s.phase == "aifs-wait":
                 waiting.remove(pos)
@@ -342,22 +360,22 @@ def _run(
             # for as long as each is the next event (see the docstring)
             while True:
                 if kind == _SENSE:
-                    if trace is not None:
+                    if traced:
                         trace.append(f"{now} c{pos} {s.phase}->sensing")
                     if active:
                         # first contention for this packet: draw the backoff
                         defer(pos)
                         activations += 1
-                        if trace is not None:
+                        if traced:
                             trace.append(f"{now} c{pos} sensing->backoff-wait-idle")
                         break
-                    if trace is not None:
+                    if traced:
                         trace.append(f"{now} c{pos} sensing->aifs-wait")
                     end = now + aifs + s.airtime
                     if (
                         waiting or starting or (heap and heap[0][0] < end)
                         or (deferred and timers[0][0] <= now + aifs)
-                        or trace is not None
+                        or traced
                     ):
                         s.phase = "aifs-wait"
                         push(timers, (now + aifs, _PRIO_DECISION, pos, _COMMIT))
@@ -377,21 +395,21 @@ def _run(
                     if heap:
                         batch = min(batch, (heap[0][0] - now) // period - 1)
                     if batch > 0:
-                        lag = now - s.scheduled_start - s.sent * period
                         # packet i of the stretch ends at end + i * period
-                        lost_at = ()
-                        if loss > 0:
-                            lost_at = [i for i in range(batch) if draw() < loss]
                         first_late = max(0, (s.deadline - end) // period + 1)
-                        late = max(0, batch - first_late)
-                        if lost_at:  # a lost packet is never late
-                            late -= sum(i >= first_late for i in lost_at)
+                        lost = lost_late = 0
+                        if loss > 0:
+                            for i in range(batch):
+                                if draw() < loss:
+                                    lost += 1
+                                    if i >= first_late:
+                                        lost_late += 1
                         s.sent += batch
-                        s.received += batch - len(lost_at)
-                        s.ambient_lost += len(lost_at)
-                        s.delivered_late += late
-                        s.delay_total_us += batch * lag
-                        now += batch * period
+                        s.received += batch - lost
+                        s.ambient_lost += lost
+                        # a lost packet is never late
+                        s.delivered_late += max(0, batch - first_late) - lost_late
+                        s.end_total += batch * end + batch * (batch - 1) // 2 * period
                         end += batch * period
                     s.current_collided = False
                     now = end
@@ -409,11 +427,9 @@ def _run(
                     if now > s.deadline:
                         s.delivered_late += 1
                     outcome = "received"
-                if trace is not None:
+                if traced:
                     trace.append(f"{now} c{pos} packet {s.sent - 1} {outcome}")
-                nominal_end = s.scheduled_start + s.sent * (aifs + s.airtime)
-                s.delay_total_us += now - nominal_end
-                s.last_tx_end = now
+                s.end_total += now
                 if not active and deferred:
                     # idle edge: every deferred sender restarts its AIFS now,
                     # and the holders of the least target commit first
@@ -422,7 +438,7 @@ def _run(
                     commit_at = now + aifs + (least - clock) * slot
                     for p in deferred[least]:
                         push(timers, (commit_at, _PRIO_DECISION, p, _COMMIT))
-                    if trace is not None:
+                    if traced:
                         for p, other in enumerate(senders):
                             if other.phase != "backoff-wait-idle":
                                 continue
@@ -432,7 +448,8 @@ def _run(
                                 mark = (now + aifs, _PRIO_DECISION, p, _COUNTDOWN_MARK)
                                 push(timers, mark)
                 if s.sent == s.count:
-                    if trace is not None:
+                    s.last_tx_end = now
+                    if traced:
                         trace.append(f"{now} c{pos} transmitting->done")
                     break
                 if (heap and heap[0][0] <= now) or (timers and timers[0][0] <= now):
@@ -445,20 +462,29 @@ def _run(
             timers and timers[0][0] == now
         ):
             continue
-        if len(starting) > 1 and trace is None and not (active or waiting):
+        if len(starting) > 1 and not traced and not (active or waiting):
             # with equal airtimes, a lock-step group: its rounds before the
             # last one to start before the next queued event collide in one
             # step, over frozen countdowns (see the docstring)
-            group = [senders[p] for p in starting]
-            a = group[0].airtime
-            if all(m.airtime == a for m in group):
+            first = senders[starting[0]]
+            a = first.airtime
+            left = first.count - first.sent  # the fewest packets left
+            for p in starting:
+                m = senders[p]
+                if m.airtime != a:
+                    break
+                if m.count - m.sent < left:
+                    left = m.count - m.sent
+            else:
                 period = aifs + a
-                rounds = min(m.count - m.sent for m in group) - 1
+                rounds = left - 1
                 if heap:
                     rounds = min(rounds, (heap[0][0] - now - 1) // period)
-                for m in group:
-                    lag = now + a - m.scheduled_start - (m.sent + 1) * period
-                    m.delay_total_us += rounds * lag
+                # round j ends at now + a + j * period
+                ends = rounds * (now + a) + rounds * (rounds - 1) // 2 * period
+                for p in starting:
+                    m = senders[p]
+                    m.end_total += ends
                     m.sent += rounds
                     m.collided += rounds
                 if rounds > 0 and deferred:
@@ -471,7 +497,7 @@ def _run(
         # start, in position order
         for pos in starting:
             s = senders[pos]
-            if trace is not None:
+            if traced:
                 trace.append(f"{now} c{pos} tx-pending->transmitting")
             s.phase = "transmitting"
             push(heap, (now + s.airtime, _PRIO_TX_END, pos, _TX_END))
@@ -490,7 +516,7 @@ def _run(
             timers.clear()
             if deferred:
                 clock += (now - idle_since - aifs) // slot
-            if trace is not None:
+            if traced:
                 for p, other in enumerate(senders):
                     if other.phase in (
                         "aifs-wait", "backoff-aifs", "backoff-countdown"
@@ -617,10 +643,14 @@ def simulate(
                 return stored
     senders = [SenderState(req, start) for req, start in zip(requests, schedule.starts)]
     activations = _run(senders, channel, seed, trace)
+    # the delay: the end sum less that of the uncontended ends (see the
+    # module docstring)
     stats = tuple(
         ConnectionStats(
             s.sent, s.received, s.collided, s.ambient_lost, s.delivered_late,
-            s.delay_total_us, s.last_tx_end - s.scheduled_start,
+            s.end_total - s.sent * s.scheduled_start
+            - s.sent * (s.sent + 1) // 2 * (channel.aifs + s.airtime),
+            s.last_tx_end - s.scheduled_start,
         )
         for s in senders
     )

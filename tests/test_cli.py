@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import txsched
-from txsched import experiment, read_table
+from txsched import cli, experiment, read_table
 from txsched.cli import main, resolve_scenario
 
 SMALL = """\
@@ -203,6 +203,60 @@ class TestRun:
         )
         assert main(["run", str(huge)]) == 2
         assert "enumeration cap" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    # an unreadable scenario or an unwritable output is reported with its
+    # exit code; an OSError raised inside the work is a fault and propagates
+
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["validate", "table2"], "check_run_size"),
+            (["run", "table2"], "run_experiment"),
+            (["trace", "table2", "--scheduler", "tsgs", "--seed", "1"], "simulate"),
+        ],
+    )
+    def test_timeout_inside_the_work_propagates(self, monkeypatch, capsys, argv, work):
+        def expire(*args, **kwargs):
+            raise TimeoutError("still running after 1 s")
+
+        monkeypatch.setattr(cli, work, expire)
+        with pytest.raises(TimeoutError):
+            main(argv)
+        assert capsys.readouterr() == ("", "")
+
+    def test_unwritable_out_is_exit_2(self, small_scn, tmp_path, capsys):
+        # a directory cannot be opened for writing, whoever runs the test
+        assert main(["run", small_scn, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        )
+
+    def test_missing_out_directory_is_exit_1(self, small_scn, tmp_path, capsys):
+        out = tmp_path / "no" / "out.csv"
+        assert main(["run", small_scn, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+
+    def test_unreadable_scenario_is_exit_2(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+        )
+
+    @pytest.mark.parametrize("verb", ["validate", "run"])
+    def test_broken_pipe_on_stdout_is_exit_2(
+        self, small_scn, monkeypatch, capsys, verb
+    ):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main([verb, small_scn]) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestSweep:

@@ -6,6 +6,7 @@ the per-slot reference on report and trace."""
 
 import itertools
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 import reference
@@ -637,6 +638,73 @@ def test_lockstep_over_deferred_simulate_equals_reference(lockstep_rises):
 
     check()
     assert any(rises)
+
+
+@st.composite
+def end_sum_runs(draw):
+    """Groups of trains laid one after another, each alone on the channel:
+    a single train, whose packets but the last run in one inline stretch,
+    or two or three trains of one airtime that start together and collide
+    in lock-step until the shortest ends, the longer ones then going on in
+    lock-step or inline. Each deadline falls within its train's span, so
+    it often splits a stretch; the ambient loss is in (0, 1) or exactly the
+    int 1, so a lost packet past the deadline is common. Returns the run
+    and the cases it reaches."""
+    slot = draw(st.integers(1, 4))
+    aifs = draw(st.integers(0, 9))
+    loss = draw(
+        st.one_of(st.just(1), st.floats(0, 1, exclude_min=True, exclude_max=True))
+    )
+    requests, starts, reached = [], [], set()
+    at = 0
+    for _ in range(draw(st.integers(1, 3))):
+        airtime = draw(st.integers(1, 20))
+        period = aifs + airtime
+        counts = draw(st.lists(st.integers(1, 30), min_size=1, max_size=3))
+        for packets in counts:
+            deadline = at + draw(st.integers(0, packets * period + 1))
+            requests.append(
+                TransmissionRequest(len(requests), deadline, packets, airtime)
+            )
+            starts.append(at)
+            stretch = (at + period, at + (packets - 1) * period)  # its ends
+            if len(counts) == 1 and stretch[0] <= deadline < stretch[1]:
+                reached.add("deadline inside a stretch")
+        if len(counts) > 1 and sorted(counts)[1] >= 3:
+            reached.add("lock-step run of two rounds or more")
+        at += max(counts) * period + draw(st.integers(0, 50))
+    reached.add("loss 1" if loss == 1 else "loss in (0, 1)")
+    channel = ChannelConfig(
+        slot_time=slot, aifs=aifs, cw=draw(st.integers(1, 6)), ambient_loss_rate=loss
+    )
+    run = requests, Schedule(tuple(starts)), channel, draw(st.integers(0, 2**16))
+    return run, reached
+
+
+def test_end_sums_equal_reference():
+    # untraced, a stretch or a lock-step run adds its packets' ends to the
+    # end sum in one term and counts its late packets by arithmetic; the
+    # report's delay, lateness and duration equal the per-packet reference
+    reached = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(end_sum_runs())
+    def check(case):
+        run, cases = case
+        report = simulate(*run)
+        expected = reference.simulate(*run)
+        fields = attrgetter("delay_total_us", "delivered_late", "realized_duration_us")
+        assert list(map(fields, report.per_connection)) == list(
+            map(fields, expected.per_connection)
+        )
+        assert report == expected
+        reached.update(cases)
+
+    check()
+    assert reached == {
+        "deadline inside a stretch", "lock-step run of two rounds or more",
+        "loss 1", "loss in (0, 1)",
+    }
 
 
 # One uncontended train of three packets under the default channel (aifs

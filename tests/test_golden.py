@@ -35,6 +35,22 @@ SUMMARY = "857e786cbbdac015052e9fd0122e16800101c70b6cbb6eedfe32532bcd1aeebd"
 
 _CHANNEL = "channel slot_time 13us aifs 58us cw 15 ambient_loss 0.01\n"
 
+# the CI smoke block's saturated exhaustive search (twin 10 x 23 us trains
+# beside 12 x 31 us and 9 x 47 us) with all three schedulers, lossy air and
+# a backoff window of cw slots
+_SATURATED = (
+    "format txsched/1\n"
+    "connection 0 deadline 2000us packets 10 airtime 23us overhead 58us\n"
+    "connection 1 deadline 2000us packets 10 airtime 23us overhead 58us\n"
+    "connection 2 deadline 2200us packets 12 airtime 31us overhead 58us\n"
+    "connection 3 deadline 1900us packets 9 airtime 47us overhead 58us\n"
+    "scheduler step 100us\n"
+    "schedulers exhaustive tsgs random\n"
+    "channel slot_time 13us aifs 58us cw {cw} ambient_loss 0.05\n"
+    "sweep start 300us stop 1200us step 300us\n"
+    "seeds 1 2\n"
+)
+
 # name -> (scenario text, sha256 of its `run --format csv` output)
 INLINE = {
     # native windows of five sizes, two equal deadlines (stable order),
@@ -70,6 +86,17 @@ INLINE = {
         "scheduler step 200us margin 100us\n"
         "schedulers exhaustive tsgs random\n" + _CHANNEL + "seeds 21 22\n",
         "7f766bf4fcce639261e84420094e1bf28bb8f00a5a1fcbc60b0e803b22b3616d",
+    ),
+    # every backoff is 0, drawn from one-bit candidates of which half are
+    # rejected, among the loss draws
+    "saturated-cw-1": (
+        _SATURATED.format(cw=1),
+        "50bc04e6f86d1994cd4061ca46cda8d99e086530dc0de990ca9fb2d74e53114b",
+    ),
+    # each backoff candidate is 33 bits, two 32-bit words
+    "saturated-cw-two-words": (
+        _SATURATED.format(cw=2**32 + 1),
+        "8f649205b6498c35305416fda58481110787ba0d7cef621f66fb31fdea3ede31",
     ),
 }
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from strategies import channel_runs, spaced_runs
+from timeouts import bounded
 
 from txsched import (
     ChannelConfig,
@@ -501,6 +502,48 @@ class TestAnalyticMAC:
         p = 1 / cw
         sigma = (p * (1 - p) / self.SEEDS) ** 0.5
         assert abs(collided / self.SEEDS - p) <= 4 * sigma
+
+
+class TestDrawRule:
+    # c0's 1000us packet is on air over [58, 1058); c1 to c9 sense it busy
+    # at 100, 110, ..., 180 and each draw a backoff, in position order,
+    # while the slot clock still reads 0, so each target is its draw. With
+    # no ambient loss the generator makes no other draw. Candidates of one
+    # to three 32-bit words; with cw 1 or a power of two about half are
+    # rejected, with 2**32 - 1 almost none.
+    CWS = (1, 2, 3, 15, 16, 17, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 10**20)
+    SEEDS = (0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 2**32 + 7, 2**64 - 1)
+
+    @pytest.mark.parametrize("cw", CWS)
+    def test_backoffs_are_randrange_draws(self, monkeypatch, cw):
+        targets = []
+        slot = simulator.SenderState.backoff_target  # the slot's descriptor
+
+        class Watched(simulator.SenderState):
+            __slots__ = ()
+
+            @property
+            def backoff_target(self):
+                return slot.__get__(self)
+
+            @backoff_target.setter
+            def backoff_target(self, value):
+                targets.append(value)
+                slot.__set__(self, value)
+
+        monkeypatch.setattr(simulator, "SenderState", Watched)
+        reqs = [req(0, airtime=1000)] + [req(i) for i in range(1, 10)]
+        schedule = Schedule((0,) + tuple(range(100, 190, 10)))
+        # a draw that never takes a fresh candidate after a rejected one
+        # would hang rather than fail
+        with bounded(10):
+            for seed in self.SEEDS:
+                targets.clear()
+                report = simulate(reqs, schedule, ChannelConfig(cw=cw), seed)
+                assert report.backoff_activations == 9
+                draws = targets[len(reqs):]  # after each sender's initial 0
+                fresh = random.Random(seed)
+                assert draws == [fresh.randrange(cw) for _ in range(9)]
 
 
 class TestConnectionIdentity:
