@@ -26,6 +26,7 @@ from .schedulers import (
     ScheduleResult,
     SchedulerConfig,
     _assignments,
+    _tsgs_pairs,
     candidate_grid,
     exhaustive_schedule,
     random_schedule,
@@ -42,6 +43,13 @@ TABLE_FORMAT_TAG = "txsched-table/1"
 # makes 420 rows and simulates 40,000 packets.
 MAX_ROWS = 1_000_000
 MAX_PACKETS = 1_000_000_000
+# tsgs's work grows with the pairs of connections it places against each
+# other, summed over the windows. In process on a 2 vCPU host with Python
+# 3.11, the costliest family found (one-packet trains of 1 to 30 ms on
+# 28,572-point grids) took 1.8-2.4 us per pair at N = 1,000 to 4,000, so
+# the cap, 6,325 connections in one window, stands for 35-50 s there; 81 us
+# trains on 20-point grids take 20 ns per pair, 0.4 s at the cap.
+MAX_TSGS_PAIRS = 20_000_000
 
 
 class MissingSchedulerError(ValueError):
@@ -127,16 +135,26 @@ def check_run_size(spec: ScenarioSpec) -> tuple[int, int]:
 
     Raises:
         ScenarioError: the rows exceed ``MAX_ROWS`` or the packets
-            ``MAX_PACKETS``; the message names both counts.
+            ``MAX_PACKETS``, and the message names both counts; or tsgs
+            is listed and its pairs of connections, summed over the
+            windows, exceed ``MAX_TSGS_PAIRS``, and the message names
+            that count.
         InstanceTooLargeError: exhaustive's cap refuses the widest window.
     """
-    groups = (1 if spec.sweep is None else spec.sweep.count()) * len(spec.schedulers)
+    points = 1 if spec.sweep is None else spec.sweep.count()
+    groups = points * len(spec.schedulers)
     rows = groups * (len(spec.seeds) + 1)
     packets = groups * len(spec.seeds) * sum(req.packet_count for req in spec.requests)
     if rows > MAX_ROWS or packets > MAX_PACKETS:
         raise ScenarioError(
             f"run too large: {rows} rows and {packets} simulated packets "
             f"exceed the caps of {MAX_ROWS} rows and {MAX_PACKETS} packets"
+        )
+    pairs = points * _tsgs_pairs(spec.requests)
+    if "tsgs" in spec.schedulers and pairs > MAX_TSGS_PAIRS:
+        raise ScenarioError(
+            f"run too large: tsgs would place {pairs} pairs of connections, "
+            f"above the cap of {MAX_TSGS_PAIRS} pairs"
         )
     if "exhaustive" in spec.schedulers:
         # every grid grows with the window, so the widest has the most

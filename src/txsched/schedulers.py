@@ -31,24 +31,33 @@ spans, and U is 1 when trains pack back to back.
 Only a placement with no free start is scored, through a prefix
 integral. Let k(x) be the number of placed half-open intervals covering
 instant x and C(t) the integral of k from 0 to t. A candidate [s, s + d)
-overlaps the placed intervals for C(s + d) - C(s) in total, and once the
-placed breakpoints are sorted each C(t) is one bisection plus integer
-arithmetic. The score is piecewise linear in s, so the first
-least-overlap start is one of at most 4N + 2 grid points next to its
-breakpoints (see ``_least_overlap``). Such a placement against N
-intervals thus costs O(N log N) whatever its grid size G, rather than
-N * G pairwise overlaps, and tsgs costs O(N^2 log N) in all when no
-placement finds a free start.
+overlaps the placed intervals for C(s + d) - C(s) in total. The placed
+intervals' coverage (``_Coverage``) keeps k's distinct breakpoints sorted
+with k's change at each; it is built at a call's first scored placement
+and takes each later placement in with two bisections and list inserts,
+so a call whose placements all fit free pays nothing for it. A scored
+placement sums the changes into C's prefix arrays, O(B) for B
+breakpoints, and walks its starts and the breakpoints together. The
+score is piecewise linear in s, so the first least-overlap start is one
+of at most 4N + 2 grid points next to the breakpoints (see
+``_candidates``); a grid no longer than that is scored whole. Such a
+placement against N intervals thus costs O(N log N) whatever its grid
+size G, rather than N * G pairwise overlaps, and tsgs costs
+O(N^2 log N) in all when no placement finds a free start.
 
-The exhaustive walk scores whole grids on entering a level above the
-penultimate one and skips every subtree whose partial overlap already
+The exhaustive walk keeps the same coverage of the levels fixed above it
+as a stack, adding a level's span on descent and removing it on
+backtrack, and scores a whole grid from it on entering a level above the
+penultimate one; it skips every subtree whose partial overlap already
 reaches the best cost found. Its last two levels are scored from
 overlap-difference tables instead: every grid is a multiple of one step
 from 0, so two trains' overlap depends only on the difference of their
 grid indices, and a level's scores against one start fixed above it are
 one slice of a table built once per search. Fixing a start adds its
 slices to the last two grids' scores against the starts fixed before it,
-so those scores are kept as stacks of vectors, one per fixed level.
+so those scores are kept as stacks of vectors, one per fixed level. A
+penultimate choice is skipped when its partial sum plus a lower bound on
+the last level's least overlap already reaches the best cost.
 
 All strategies report an operation counter with the paper's meaning, in
 closed form, not the work the fast path does: pairwise-overlap
@@ -63,8 +72,8 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from itertools import repeat
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, mul
 
 from .core import (
     Schedule,
@@ -86,8 +95,8 @@ ORDERINGS = ("input-order", "deadline-ascending")
 ENUMERATION_CAP = 10_000_000
 
 # exhaustive_schedule scores its last level from a table while the last grid
-# has at most _TABLE_RATIO times the 4 * (N - 1) + 2 starts _least_overlap
-# would score per choice; past it, slicing and adding the whole grid costs
+# has at most _TABLE_RATIO times the 4 * (N - 1) + 2 starts _candidates
+# would give per choice; past it, slicing and adding the whole grid costs
 # more than scoring those starts. Timed on saturated searches at N = 2 to 5,
 # the table stopped winning from 22-37, 50-65, 60-80 and 70-90 last-grid
 # points, so 5 puts the switch at 30, 50, 70 and 90.
@@ -174,62 +183,144 @@ def _processing_order(
 _Spans = list[tuple[TimePoint, TimePoint]]
 
 
-def _overlaps(starts: Iterable[TimePoint], duration: TimeSpan, spans: _Spans):
-    """Yield each candidate [s, s + duration)'s summed overlap with the
-    half-open spans [a, b), for s in starts, in order.
+class _Coverage:
+    """The number k(x) of spans covering each instant x, for a set of
+    half-open spans [a, b) that changes by one span at a time.
 
-    The coverage integral is C(t) = base + slope * t between consecutive
-    breakpoints; a breakpoint adds +1 to the slope (and -a to the base)
-    per span starting there and -1 (and +b) per span ending there.
+    k is kept as its breakpoints in order, the change of k at each and that
+    change times the breakpoint: a span adds +1 at a and -1 at b. A
+    breakpoint whose changes cancel, such as a span ending where another
+    starts, is dropped, so every kept one changes k. ``len()`` is the
+    number of spans.
     """
-    steps = {0: 0}  # a breakpoint at 0 gives every start >= 0 a segment
-    for a, b in spans:
-        steps[a] = steps.get(a, 0) + 1
-        steps[b] = steps.get(b, 0) - 1
-    points = sorted(steps)
-    bases, slopes = [], []
-    base = slope = 0
-    for x in points:
-        base -= steps[x] * x
-        slope += steps[x]
-        bases.append(base)
-        slopes.append(slope)
-    for s in starts:
-        j = bisect_right(points, s) - 1
+
+    __slots__ = ("points", "changes", "moments", "spans")
+
+    def __init__(self, spans: _Spans = ()) -> None:
+        steps: dict[TimePoint, int] = {}
+        for a, b in spans:
+            steps[a] = steps.get(a, 0) + 1
+            steps[b] = steps.get(b, 0) - 1
+        self.points = sorted(x for x, change in steps.items() if change)
+        self.changes = [steps[x] for x in self.points]
+        self.moments = list(map(mul, self.changes, self.points))
+        self.spans = len(spans)
+
+    def __len__(self) -> int:
+        return self.spans
+
+    def _step(self, x: TimePoint, change: int) -> None:
+        points, changes, moments = self.points, self.changes, self.moments
+        i = bisect_left(points, x)
+        if i == len(points) or points[i] != x:
+            points.insert(i, x)
+            changes.insert(i, change)
+            moments.insert(i, change * x)
+        elif changes[i] == -change:
+            del points[i], changes[i], moments[i]
+        else:
+            changes[i] += change
+            moments[i] += change * x
+
+    def add(self, a: TimePoint, b: TimePoint) -> None:
+        self._step(a, 1)
+        self._step(b, -1)
+        self.spans += 1
+
+    def remove(self, a: TimePoint, b: TimePoint) -> None:
+        self._step(a, -1)
+        self._step(b, 1)
+        self.spans -= 1
+
+    def integral(self) -> tuple[list, list[int], list[int]]:
+        """The breakpoints closed by an infinite one, and the prefix sums of
+        the changes and of the moments from 0: the integral C(t) of k from
+        0 to t is slopes[i] * t - offsets[i], where i counts the breakpoints
+        at or before t. Built when a score is asked for, not on every
+        change."""
+        slopes = list(accumulate(self.changes, initial=0))
+        offsets = list(accumulate(self.moments, initial=0))
+        return self.points + [math.inf], slopes, offsets
+
+
+def _overlaps(grid: range, duration: TimeSpan, coverage: _Coverage) -> list[TimeSpan]:
+    """Each grid start s's overlap C(s + d) - C(s) with the coverage's
+    spans, by the walk `_least_overlap` makes."""
+    points, slopes, offsets = coverage.integral()
+    scores = []
+    j = i = 0
+    for s in grid:
+        if points[j] <= s:
+            j += 1
+            if points[j] <= s:
+                j = bisect_right(points, s, j + 1)
         e = s + duration
-        i = bisect_right(points, e, j) - 1
-        yield bases[i] + slopes[i] * e - bases[j] - slopes[j] * s
+        if points[i] <= e:
+            i += 1
+            if points[i] <= e:
+                i = bisect_right(points, e, i + 1)
+        scores.append(slopes[i] * e - offsets[i] - slopes[j] * s + offsets[j])
+    return scores
+
+
+def _candidates(
+    grid: range, duration: TimeSpan, coverage: _Coverage
+) -> range | list[TimePoint]:
+    """The starts of grid that `_least_overlap` must score to find its
+    first least one, in order.
+
+    The score f(s) = C(s + d) - C(s) is continuous and piecewise linear,
+    and its slope k(s + d) - k(s) rises only where k falls at s (a
+    breakpoint x with a negative change, s = x) or rises at s + d (a
+    positive change, s = x - d). If the first least grid point g lies
+    inside the grid, f falls from g - step to g and does not fall from g
+    to g + step, so such a rise lies strictly between them: g is the grid
+    point on one side of some such x or x - d. So a grid longer than
+    4 * len(coverage) + 2 points gives only its two ends and those
+    neighbours, at most that many; a shorter one is scored whole.
+    """
+    step, last = grid.step, grid[-1]
+    if _grid_size(last, step) <= 4 * len(coverage) + 2:
+        return grid
+    rises = [
+        x if change < 0 else x - duration
+        for x, change in zip(coverage.points, coverage.changes)
+    ]
+    below = [x - x % step for x in rises]
+    candidates = {0, last, *below, *[x + step for x in below]}
+    return sorted(s for s in candidates if 0 <= s <= last)
 
 
 def _least_overlap(
-    grid: range, duration: TimeSpan, spans: _Spans
+    starts: Iterable[TimePoint], duration: TimeSpan, coverage: _Coverage
 ) -> tuple[TimePoint, TimeSpan]:
-    """The first start in grid with the least overlap, and that overlap.
+    """The first of the ascending starts with the least overlap with the
+    coverage's spans, and that overlap.
 
-    The score f(s) = C(s + d) - C(s) is continuous and piecewise linear,
-    and its slope k(s + d) - k(s) rises only where a span ends at s
-    (s = b) or begins at s + d (s = a - d). If the first least grid point
-    g lies inside the grid, f falls from g - step to g and does not fall
-    from g to g + step, so such a rise lies strictly between them: g is
-    the grid point on one side of some b or a - d. Only the grid's two
-    ends and those neighbours, at most 4 * len(spans) + 2 starts, are
-    scored, in grid order; a grid no longer than that is scored whole.
-    A zero score cannot be beaten, so it ends the scan.
+    Each start s scores C(s + d) - C(s). One merge walk finds the
+    breakpoints at or before s and s + d: each index moves one breakpoint
+    on, or past several by a bisection, so the walk costs
+    O(len(starts) + breakpoints passed) for dense starts and two
+    bisections per start for sparse ones. A zero score cannot be beaten,
+    so it ends the scan. `_overlaps` repeats the walk: sharing it through
+    a generator cost about a tenth of tsgs's scoring time.
     """
-    starts = grid
-    step = grid.step
-    if _grid_size(grid[-1], step) > 4 * len(spans) + 2:
-        candidates = {0, grid[-1]}
-        for a, b in spans:
-            for rise in (b, a - duration):
-                below = rise - rise % step
-                candidates.add(below)
-                candidates.add(below + step)
-        starts = sorted(s for s in candidates if s in grid)
+    points, slopes, offsets = coverage.integral()
     best_start = best = None
-    for start, score in zip(starts, _overlaps(starts, duration, spans)):
+    j = i = 0
+    for s in starts:
+        if points[j] <= s:
+            j += 1
+            if points[j] <= s:
+                j = bisect_right(points, s, j + 1)
+        e = s + duration
+        if points[i] <= e:
+            i += 1
+            if points[i] <= e:
+                i = bisect_right(points, e, i + 1)
+        score = slopes[i] * e - offsets[i] - slopes[j] * s + offsets[j]
         if best is None or score < best:
-            best_start, best = start, score
+            best_start, best = s, score
             if score == 0:
                 break
     return best_start, best
@@ -279,13 +370,16 @@ def tsgs_schedule(
     the connection is pinned at the lowest-scoring candidate (smallest
     grid index on ties). Earlier placements are never moved. The first
     start that overlaps nothing is found by ``_first_fit``; only when no
-    such start exists are candidates scored, by ``_least_overlap``.
+    such start exists are candidates scored, by ``_least_overlap`` against
+    the placed spans' ``_Coverage``, which is built then and kept from
+    there on.
     """
     _check_requests(requests)
     _check_type("config", config, SchedulerConfig)
     starts: list[TimePoint] = [0] * len(requests)
     placed: _Spans = []
     busy: list[TimePoint] = []  # the union of placed, see _first_fit
+    coverage = None  # placed's, from the first scored placement on
     evaluations = 0
     for idx in _processing_order(requests, config):
         req = requests[idx]
@@ -293,11 +387,18 @@ def tsgs_schedule(
         duration = compute_duration(req)
         start = _first_fit(grid, duration, busy)
         if start is None:
-            start, _ = _least_overlap(grid, duration, placed)
+            if coverage is None:
+                coverage = _Coverage(placed)
+            start, _ = _least_overlap(
+                _candidates(grid, duration, coverage), duration, coverage
+            )
         evaluations += _grid_size(grid[-1], grid.step) * len(placed)
         starts[idx] = start
-        placed.append((start, start + duration))
-        _merge(busy, start, start + duration)
+        end = start + duration
+        placed.append((start, end))
+        if coverage is not None:
+            coverage.add(start, end)
+        _merge(busy, start, end)
     return _result(starts, requests, evaluations)
 
 
@@ -359,6 +460,13 @@ def _assignments(grids: list[range]) -> int:
     return size
 
 
+def _tsgs_pairs(requests: list[TransmissionRequest] | tuple) -> int:
+    """The pairs of connections tsgs places against each other in one
+    window, N * (N - 1) / 2. A placement against P placed spans costs
+    O(P log P) whatever its grid, so tsgs's work grows with the pairs."""
+    return len(requests) * (len(requests) - 1) // 2
+
+
 def exhaustive_schedule(
     requests: list[TransmissionRequest] | tuple, config: SchedulerConfig
 ) -> ScheduleResult:
@@ -374,18 +482,26 @@ def exhaustive_schedule(
     (1 for no connections, whose minimum is the empty schedule).
 
     Every level above the penultimate is scored whole on entry against
-    the spans fixed above it. The last two levels are scored from
+    the spans fixed above it, whose ``_Coverage`` the walk keeps as a
+    stack: a span is added on descent and removed on backtrack, and only
+    while a level above the penultimate, or the last level's per-choice
+    scoring, still reads it. The last two levels are scored from
     ``_trapezoid`` tables against every level above them instead: fixing
     a choice pushes the penultimate grid's scores against the spans fixed
     so far, the previous ones plus that choice's slice of its level's
     table, and likewise the last grid's, its base scores; backtracking
     pops them. Each penultimate choice, in grid order, then scores the
     last grid as base plus one slice of the (penultimate, last) table and
-    takes its first minimum. A last grid longer than ``_TABLE_RATIO``
-    times the starts ``_least_overlap`` scores is scored per choice by it
-    instead and gets no tables, so the tables and stacks stay within a
-    constant times N times the last two grid sizes plus the sum of the
-    grid sizes.
+    takes its first minimum. That minimum is at least the least base
+    score plus the least entry of the choice's slice, and a trapezoid's
+    slice is least at one of its two ends, so a choice whose partial sum
+    plus those two already reaches the best is skipped unscored; the
+    bound is admissible and cuts only assignments that come after the
+    best in lexicographic order, so the first optimum is kept. A last grid
+    longer than ``_TABLE_RATIO`` times the starts ``_candidates`` gives
+    is scored per choice by ``_least_overlap`` instead and gets no tables
+    and no bound, so the tables and stacks stay within a constant times N
+    times the last two grid sizes plus the sum of the grid sizes.
 
     Raises:
         InstanceTooLargeError: the product of grid sizes exceeds
@@ -408,13 +524,23 @@ def exhaustive_schedule(
             for j in range(pen)
         ]
         pair = None
+        # per penultimate choice, a lower bound on its overlap with the last
+        # level's choice: 0 without tables
+        pair_least = [0] * len(pen_grid)
         if len(last_grid) <= _TABLE_RATIO * (4 * last + 2):
             pair = _trapezoid(pen_grid, pen_duration, last_grid, last_duration)
             last_tables = [
                 _trapezoid(grids[j], durations[j], last_grid, last_duration)
                 for j in range(pen)
             ]
+            # a trapezoid's slice is least at one of its ends
+            width = len(last_grid) - 1
+            pair_least = [
+                min(pair[offset], pair[offset + width])
+                for offset in reversed(range(len(pen_grid)))
+            ]
     spans: _Spans = []  # [start, end) of the levels fixed so far
+    coverage = _Coverage()  # of spans
     sums = [0]  # sums[j]: overlap among the first j spans, each pair once
     # per fixed level: the penultimate grid's and, when it has tables, the
     # last grid's overlaps with the spans fixed down to that level
@@ -424,26 +550,32 @@ def exhaustive_schedule(
     while pen >= 0:
         if len(spans) < pen:
             level = len(spans)
-            scores = list(_overlaps(grids[level], durations[level], spans))
+            scores = _overlaps(grids[level], durations[level], coverage)
             pending.append(enumerate(scores))
         else:
-            # the last two levels: each penultimate choice whose partial sum
-            # stays below the best takes the last grid's first minimum
+            # the last two levels: each penultimate choice whose partial sum,
+            # plus the last level's least overlap with the fixed spans and
+            # the least with that choice, stays below the best takes the last
+            # grid's first minimum
+            prefix = sums[-1]
+            floor = prefix
             if pair is not None:
                 base = last_rows[-1] if last_rows else [0] * len(last_grid)
-            prefix = sums[-1]
-            for k, score in enumerate(
-                pen_rows[-1] if pen_rows else repeat(0, len(pen_grid))
-            ):
-                partial = prefix + score
-                if partial >= best_cost:
+                floor += min(base)
+            scores = pen_rows[-1] if pen_rows else repeat(0)
+            for k, (score, low) in enumerate(zip(scores, pair_least)):
+                if floor + score + low >= best_cost:
                     continue
+                partial = prefix + score
                 start = pen_grid[k]
                 if pair is None:
-                    placed = spans + [(start, start + pen_duration)]
+                    coverage.add(start, start + pen_duration)
                     least_start, least = _least_overlap(
-                        last_grid, last_duration, placed
+                        _candidates(last_grid, last_duration, coverage),
+                        last_duration,
+                        coverage,
                     )
+                    coverage.remove(start, start + pen_duration)
                 else:
                     offset = len(pen_grid) - 1 - k
                     index, least = _first_least(
@@ -457,6 +589,8 @@ def exhaustive_schedule(
         # deepest level that has one; stop when no level has
         while pending:
             if len(spans) == len(pending):
+                if len(spans) < pen or pair is None:
+                    coverage.remove(*spans[-1])
                 spans.pop()
                 sums.pop()
                 pen_rows.pop()
@@ -470,6 +604,8 @@ def exhaustive_schedule(
                 start = grids[level][k]
                 offset = len(grids[level]) - 1 - k
                 spans.append((start, start + durations[level]))
+                if level < pen - 1 or pair is None:  # else tables score what is left
+                    coverage.add(start, start + durations[level])
                 sums.append(prefix + score)
                 _push(pen_rows, pen_tables[level], offset, len(pen_grid))
                 if pair is not None:

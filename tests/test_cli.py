@@ -99,6 +99,30 @@ class TestValidate:
             "1000000000 packets\n"
         )
 
+    def test_tsgs_cap_refused_by_validate_and_run_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 6,326 one-packet connections in one window: 20,005,975 pairs, the
+        # fewest connections above the cap of 20,000,000
+        huge = tmp_path / "huge.scn"
+        huge.write_text(
+            "format txsched/1\n"
+            + "".join(
+                f"connection {i} deadline 100us packets 1 airtime 23us\n"
+                for i in range(6326)
+            )
+            + "scheduler step 50us\nschedulers tsgs random\nseeds 1\n"
+        )
+        for name in ("tsgs_schedule", "random_schedule", "simulate"):
+            monkeypatch.setattr(experiment, name, no_work)
+        for verb in ("validate", "run"):
+            assert main([verb, str(huge)]) == 1
+            assert capsys.readouterr() == (
+                "",
+                "error: run too large: tsgs would place 20005975 pairs of "
+                "connections, above the cap of 20000000 pairs\n",
+            )
+
     def test_exhaustive_cap_refused_by_validate_and_run(
         self, tmp_path, monkeypatch, capsys
     ):

@@ -543,6 +543,67 @@ def test_workload_tables_equal_tables_without_memo(name, seed):
     assert run_experiment(spec) == table_without_memo(spec)
 
 
+def one_packet_spec(n, windows=1, schedulers=("tsgs",)):
+    """n one-packet connections, one seed, in one window or a sweep of
+    ``windows``."""
+    requests = tuple(TransmissionRequest(i, 100, 1, 23) for i in range(n))
+    sweep = None if windows == 1 else WindowSweep(100, 100 * windows, 100)
+    return ScenarioSpec(
+        requests, schedulers, SchedulerConfig(step=50), ChannelConfig(), (1,), sweep
+    )
+
+
+class TestTsgsCap:
+    # check_run_size caps tsgs's pairs of connections, summed over windows
+
+    @pytest.mark.parametrize("n, windows", [(6325, 1), (4472, 2)])
+    def test_cap_between_largest_admitted_and_smallest_refused(self, n, windows):
+        cap = experiment.MAX_TSGS_PAIRS
+        assert windows * n * (n - 1) // 2 <= cap
+        assert experiment.check_run_size(one_packet_spec(n, windows)) == (
+            2 * windows, n * windows,
+        )
+        pairs = windows * (n + 1) * n // 2
+        assert pairs > cap
+        with pytest.raises(
+            ScenarioError,
+            match=f"^run too large: tsgs would place {pairs} pairs of connections, "
+            f"above the cap of {cap} pairs$",
+        ):
+            experiment.check_run_size(one_packet_spec(n + 1, windows))
+        # random places no pairs
+        experiment.check_run_size(one_packet_spec(n + 1, windows, ("random",)))
+
+    @pytest.mark.parametrize("seed", (7, 1009))
+    @pytest.mark.parametrize("name", ("table2", "contention", "greedy", "oracle"))
+    def test_bundled_and_benchmark_scenarios_admitted(self, name, seed):
+        src = Path(experiment.__file__).resolve().parents[1]
+        spec = parse_scenario(_workloads().scenario_text(name, seed, src))
+        experiment.check_run_size(spec)
+        points = 1 if spec.sweep is None else spec.sweep.count()
+        n = len(spec.requests)
+        # contention, 40 connections in 3 windows, places the most
+        assert points * n * (n - 1) // 2 <= 2340
+
+    def test_refused_before_any_work(self, monkeypatch):
+        # two connections in three windows: one pair each
+        spec = parse_scenario(SMALL)
+        monkeypatch.setattr(experiment, "MAX_TSGS_PAIRS", 3)
+        assert experiment.check_run_size(spec) == (36, 108)
+        monkeypatch.setattr(experiment, "MAX_TSGS_PAIRS", 2)
+        for name in (
+            "tsgs_schedule", "exhaustive_schedule", "random_schedule",
+            "run_scheduler", "simulate",
+        ):
+            monkeypatch.setattr(experiment, name, no_work)
+        with pytest.raises(
+            ScenarioError,
+            match="^run too large: tsgs would place 3 pairs of connections, "
+            "above the cap of 2 pairs$",
+        ):
+            run_experiment(spec)
+
+
 def test_table2_simulates_each_distinct_run_once_per_call(monkeypatch):
     calls, closings, runs, builds = [], [], [], []
 

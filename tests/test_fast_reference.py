@@ -5,12 +5,13 @@ of a train run in one step, lock-step collisions run in one step) equals
 the per-slot reference on report and trace."""
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from operator import attrgetter
 
 import pytest
 import reference
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from strategies import channel_runs
 
@@ -168,6 +169,70 @@ def test_tsgs_large_grids_equal_reference():
         "positive tie",
         "first fit",
         "no free start",
+    }
+
+
+@st.composite
+def crowded_instances(draw):
+    """150 to 300 trains on grids of 1 to 12 points. The first, with no
+    window, is sometimes long enough to overlap every later start, so
+    placements are scored while few spans are placed and their grids are
+    longer than 4 * placed + 2; trains whose lengths are multiples of the
+    step end where others start."""
+    rng = draw(st.randoms(use_true_random=False))
+    step = draw(st.integers(1, 12))
+    first = draw(st.integers(1, 24 * step))
+    requests = [TransmissionRequest(0, first, 1, first)]
+    for i in range(1, draw(st.integers(150, 300))):
+        packets = rng.randint(1, 3)
+        airtime = rng.choice((rng.randint(1, 3 * step), step * rng.randint(1, 3)))
+        overhead = rng.choice((0, rng.randint(0, step)))
+        window = rng.randint(0, 12 * step - 1)
+        deadline = packets * (airtime + overhead) + window
+        requests.append(TransmissionRequest(i, deadline, packets, airtime, overhead))
+    ordering = draw(st.sampled_from(("input-order", "deadline-ascending")))
+    return requests, SchedulerConfig(step=step, ordering=ordering)
+
+
+def test_crowded_tsgs_equals_reference(monkeypatch):
+    reached = set()
+    least_overlap = schedulers._least_overlap
+    candidates = schedulers._candidates
+    step = schedulers._Coverage._step
+
+    def counted_least(starts, duration, coverage):
+        reached.add("scored placement")
+        return least_overlap(starts, duration, coverage)
+
+    def counted_candidates(grid, duration, coverage):
+        starts = candidates(grid, duration, coverage)
+        if starts is not grid:
+            reached.add("long-grid candidates")
+        return starts
+
+    def counted_step(coverage, x, change):
+        # a start meeting a placed end, or an end meeting a placed start
+        i = bisect_left(coverage.points, x)
+        if coverage.points[i : i + 1] == [x] and coverage.changes[i] * change < 0:
+            reached.add("a span ends where another starts")
+        return step(coverage, x, change)
+
+    monkeypatch.setattr(schedulers, "_least_overlap", counted_least)
+    monkeypatch.setattr(schedulers, "_candidates", counted_candidates)
+    monkeypatch.setattr(schedulers._Coverage, "_step", counted_step)
+
+    # a failing instance of 300 trains would take minutes to shrink
+    @settings(PROPERTY, max_examples=12, phases=(Phase.explicit, Phase.generate))
+    @given(crowded_instances())
+    def check(instance):
+        requests, config = instance
+        assert tsgs_schedule(requests, config) == reference.tsgs(requests, config)
+
+    check()
+    assert reached == {
+        "scored placement",
+        "long-grid candidates",
+        "a span ends where another starts",
     }
 
 
@@ -987,6 +1052,23 @@ def test_exhaustive_cases_equal_reference(name):
     expected = reference.exhaustive(requests, config)
     assert expected.schedule.starts == starts
     assert exhaustive_schedule(requests, config) == expected
+
+
+def test_saturated_bound_cuts_last_level_scans(monkeypatch):
+    # without the bound on a penultimate choice, the walk scans the last
+    # level for all 4,096 (penultimate, earlier) prefixes of this instance;
+    # with it, 329, and 384 if ties with the best were not cut
+    scans = []
+    first_least = schedulers._first_least
+
+    def counted(base, row):
+        scans.append(1)
+        return first_least(base, row)
+
+    monkeypatch.setattr(schedulers, "_first_least", counted)
+    requests, starts = EXHAUSTIVE_CASES["saturated"]
+    assert exhaustive_schedule(requests, SchedulerConfig(step=10)).schedule.starts == starts
+    assert len(scans) <= 329
 
 
 def test_exhaustive_one_point_grids_do_not_recurse():

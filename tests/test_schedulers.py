@@ -144,14 +144,14 @@ class TestTsgs:
         ]
         config = SchedulerConfig(step=1)
         scored = []
-        overlaps = schedulers._overlaps
+        least_overlap = schedulers._least_overlap
 
         def counted(starts, duration, spans):
             starts = list(starts)
             scored.append((len(starts), len(spans)))
-            return overlaps(starts, duration, spans)
+            return least_overlap(starts, duration, spans)
 
-        monkeypatch.setattr(schedulers, "_overlaps", counted)
+        monkeypatch.setattr(schedulers, "_least_overlap", counted)
         result = tsgs_schedule(rs, config)
         grids = [len(candidate_grid(r, config)) for r in rs]
         assert min(grids) > 10**5
